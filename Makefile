@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-smoke demo-smoke replay-smoke trace-smoke bench-output lint fmt check clean
+.PHONY: all build test bench bench-smoke bench-check demo-smoke replay-smoke trace-smoke bench-output lint fmt check clean
 
 all: build
 
@@ -57,6 +57,13 @@ lint:
 # regenerate the committed reference run (simulated cycles, deterministic)
 bench-output:
 	dune exec bench/main.exe > bench_output.txt
+
+# the committed reference run must regenerate byte for byte: simulated
+# cycles are deterministic, so any difference is a real change
+bench-check:
+	dune build ./bench/main.exe
+	./_build/default/bench/main.exe > _build/bench_output.check.txt
+	cmp _build/bench_output.check.txt bench_output.txt
 
 # ocamlformat is optional in minimal toolchains; skip gracefully when absent
 fmt:

@@ -2784,6 +2784,13 @@ let wall_clock_suite () =
     (Authority.add_delegate e8_auth e8_rng ~name:"compiler"
        ~policy:Policies.trusted_compiler ~latency:1 ());
   let e8_meta = Meta.make ~type_safe:true ~name:"m" ~size:4096 () in
+  (* the certificate path's primitives, on the boot seed's first key *)
+  let crypto_key = Rsa.generate (Prng.create ~seed:0xC0FFEE) ~bits:512 in
+  let crypto_digest = Sha256.digest "component" in
+  let crypto_signature = Rsa.sign crypto_key crypto_digest in
+  let crypto_base = Nat.of_bytes_be crypto_signature in
+  let crypto_principal = Principal.make "ca" crypto_key.Rsa.pub in
+  let crypto_10k = String.make 10_240 'x' in
   let tests =
     Test.make_grouped ~name:"paramecium"
       [
@@ -2823,6 +2830,25 @@ let wall_clock_suite () =
         Test.make ~name:"e8_certify_compiler"
           (Staged.stage (fun () ->
                ignore (Authority.certify e8_auth e8_meta ~code:"code" ~now:0)));
+        Test.make ~name:"nat_mod_pow_512_e65537"
+          (Staged.stage (fun () ->
+               ignore
+                 (Nat.mod_pow crypto_base crypto_key.Rsa.pub.Rsa.e
+                    crypto_key.Rsa.pub.Rsa.n)));
+        Test.make ~name:"rsa_sign_512"
+          (Staged.stage (fun () -> ignore (Rsa.sign crypto_key crypto_digest)));
+        Test.make ~name:"rsa_verify_512"
+          (Staged.stage (fun () ->
+               ignore
+                 (Rsa.verify crypto_key.Rsa.pub ~digest:crypto_digest
+                    ~signature:crypto_signature)));
+        Test.make ~name:"rsa_generate_512"
+          (Staged.stage (fun () ->
+               ignore (Rsa.generate (Prng.create ~seed:0xC0FFEE) ~bits:512)));
+        Test.make ~name:"principal_id"
+          (Staged.stage (fun () -> ignore (Principal.id crypto_principal)));
+        Test.make ~name:"sha256_10k"
+          (Staged.stage (fun () -> ignore (Sha256.digest crypto_10k)));
       ]
   in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:false () in
@@ -2861,6 +2887,13 @@ let () =
       ("e20", E20.run); ("e21", E21.run); ("e22", E22.run); ("e23", E23.run);
       ("replay", Ereplay.run) ]
   in
+  (match List.filter (fun a -> not (List.mem_assoc a experiments)) only with
+  | [] -> ()
+  | unknown ->
+    Printf.eprintf "bench: unknown experiment or flag %s (experiments: %s; flags: --quick --wall)\n"
+      (String.concat ", " unknown)
+      (String.concat " " (List.map fst experiments));
+    exit 2);
   line "Paramecium reproduction — experiment suite";
   line "(simulated cycles, deterministic; cost model: SPARC-era defaults)";
   List.iter

@@ -277,17 +277,102 @@ let pow b e =
   in
   go one b e
 
+(* Montgomery multiplication (Koc, Acar and Kaliski, "Analyzing and
+   comparing Montgomery multiplication algorithms", 1996). For an odd [m]
+   of [n] limbs and R = 2^(30n), [mont_mul] writes a * b / R mod m into
+   [dst]. [a] and [b] are n-limb arrays below [m]; [t] is n+1 limbs of
+   scratch. [dst] may be [a] or [b]: it is written only after the product
+   is complete. This is CIOS with its multiply and reduce passes fused into
+   one inner loop (their FIOS): 30-bit limbs leave room in a 63-bit int for
+   t[j] + a[j]*b[i] + q*m[j] + carry, which stays below 2^62. *)
+let mont_mul m minv t a b dst =
+  let n = Array.length m in
+  Array.fill t 0 (n + 1) 0;
+  for i = 0 to n - 1 do
+    let bi = b.(i) in
+    let s0 = t.(0) + (a.(0) * bi) in
+    (* q makes the low limb of t + a*b[i] + q*m vanish, so it shifts out *)
+    let q = (s0 * minv) land mask in
+    let c = ref ((s0 + (q * m.(0))) lsr base_bits) in
+    for j = 1 to n - 1 do
+      let s = Array.unsafe_get t j + (Array.unsafe_get a j * bi)
+              + (q * Array.unsafe_get m j) + !c in
+      Array.unsafe_set t (j - 1) (s land mask);
+      c := s lsr base_bits
+    done;
+    let s = t.(n) + !c in
+    t.(n - 1) <- s land mask;
+    t.(n) <- s lsr base_bits
+  done;
+  (* t < 2m, so one conditional subtraction lands it below m *)
+  let rec at_least_m i = i < 0 || t.(i) > m.(i) || (t.(i) = m.(i) && at_least_m (i - 1)) in
+  if t.(n) > 0 || at_least_m (n - 1) then begin
+    let borrow = ref 0 in
+    for j = 0 to n - 1 do
+      let d = t.(j) - m.(j) - !borrow in
+      dst.(j) <- d land mask;
+      borrow := if d < 0 then 1 else 0
+    done
+  end
+  else Array.blit t 0 dst 0 n
+
+(* -m^-1 mod 2^30 for odd [m0], by Newton iteration: each step doubles
+   the number of correct low bits, starting from 3 (m0 * m0 = 1 mod 8). *)
+let neg_inv_limb m0 =
+  let x = ref m0 in
+  for _ = 1 to 4 do
+    x := (!x * (2 - (m0 * !x))) land mask
+  done;
+  (base - !x) land mask
+
+let padded n x =
+  let r = Array.make n 0 in
+  Array.blit x 0 r 0 (Array.length x);
+  r
+
+(* The reduction step of [mod_pow]: values below [m] in some working
+   representation, a product that may reuse its first argument's storage,
+   and the conversions in and out. *)
+type ring = {
+  enter : t -> int array;
+  mul : int array -> int array -> int array;
+  leave : int array -> t;
+}
+
+let plain_ring m =
+  { enter = (fun x -> x); mul = (fun a b -> rem (mul a b) m); leave = (fun x -> x) }
+
+(* Values are held as x * R mod m in n-limb arrays; [mul] overwrites its
+   first argument. *)
+let montgomery_ring m =
+  let n = Array.length m in
+  let minv = neg_inv_limb m.(0) in
+  let t = Array.make (n + 1) 0 in
+  {
+    enter = (fun x -> padded n (rem (shift_left x (n * base_bits)) m));
+    mul =
+      (fun a b ->
+        mont_mul m minv t a b a;
+        a);
+    leave =
+      (fun x ->
+        let r = Array.make n 0 in
+        mont_mul m minv t x (padded n one) r;
+        normalize r);
+  }
+
 let mod_pow b e m =
   if is_zero m then raise Division_by_zero;
   if equal m one then zero
   else begin
-    let b = rem b m in
-    let r = ref one in
+    let ring = if is_odd m then montgomery_ring m else plain_ring m in
+    let b = ring.enter (rem b m) in
+    let r = ref (ring.enter one) in
     for i = bit_length e - 1 downto 0 do
-      r := rem (mul !r !r) m;
-      if test_bit e i then r := rem (mul !r b) m
+      r := ring.mul !r !r;
+      if test_bit e i then r := ring.mul !r b
     done;
-    !r
+    ring.leave !r
   end
 
 let rec gcd a b = if is_zero b then a else gcd b (rem a b)
@@ -399,10 +484,29 @@ let of_string s =
     !acc
   end
 
+(* Byte [i] (little-endian) of [x]: its 8 bits start at bit 8i and may
+   straddle two limbs. *)
+let byte_at x i =
+  let bit = i * 8 in
+  let limb = bit / base_bits and off = bit mod base_bits in
+  let lo = x.(limb) lsr off in
+  let hi =
+    if off > base_bits - 8 && limb + 1 < Array.length x then x.(limb + 1) lsl (base_bits - off)
+    else 0
+  in
+  (lo lor hi) land 0xff
+
 let of_bytes_be s =
-  let acc = ref zero in
-  String.iter (fun c -> acc := add (shift_left !acc 8) (of_int (Char.code c))) s;
-  !acc
+  let len = String.length s in
+  let r = Array.make (((len * 8) + base_bits - 1) / base_bits) 0 in
+  for i = 0 to len - 1 do
+    let byte = Char.code s.[len - 1 - i] in
+    let bit = i * 8 in
+    let limb = bit / base_bits and off = bit mod base_bits in
+    r.(limb) <- r.(limb) lor ((byte lsl off) land mask);
+    if off > base_bits - 8 then r.(limb + 1) <- r.(limb + 1) lor (byte lsr (base_bits - off))
+  done;
+  normalize r
 
 let to_bytes_be ?len x =
   let nbytes = (bit_length x + 7) / 8 in
@@ -415,17 +519,7 @@ let to_bytes_be ?len x =
   in
   let b = Bytes.make out_len '\000' in
   for i = 0 to nbytes - 1 do
-    let byte =
-      (if test_bit x ((i * 8) + 7) then 128 else 0)
-      lor (if test_bit x ((i * 8) + 6) then 64 else 0)
-      lor (if test_bit x ((i * 8) + 5) then 32 else 0)
-      lor (if test_bit x ((i * 8) + 4) then 16 else 0)
-      lor (if test_bit x ((i * 8) + 3) then 8 else 0)
-      lor (if test_bit x ((i * 8) + 2) then 4 else 0)
-      lor (if test_bit x ((i * 8) + 1) then 2 else 0)
-      lor if test_bit x (i * 8) then 1 else 0
-    in
-    Bytes.set b (out_len - 1 - i) (Char.chr byte)
+    Bytes.set b (out_len - 1 - i) (Char.chr (byte_at x i))
   done;
   Bytes.to_string b
 

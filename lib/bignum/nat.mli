@@ -50,7 +50,10 @@ val rem : t -> t -> t
 val pow : t -> int -> t
 
 (** [mod_pow b e m] is [b]^[e] mod [m]. Raises [Division_by_zero] if
-    [m] is zero. *)
+    [m] is zero. Left-to-right square-and-multiply; for odd [m] (every
+    RSA modulus and Miller–Rabin candidate) each step is a Montgomery
+    multiplication on scratch arrays allocated per call, for even [m] a
+    product and a division. *)
 val mod_pow : t -> t -> t -> t
 
 val gcd : t -> t -> t
@@ -82,9 +85,10 @@ val of_string : string -> t
 val to_string : t -> string
 val to_hex : t -> string
 
-(** Big-endian byte-string conversion, as used for signature blocks.
-    [to_bytes_be ~len x] left-pads with zero bytes; raises
-    [Invalid_argument] if [x] needs more than [len] bytes. *)
+(** Big-endian byte-string conversion, as used for signature blocks;
+    both are linear in the length. [to_bytes_be ~len x] left-pads with
+    zero bytes; raises [Invalid_argument] if [x] needs more than [len]
+    bytes. *)
 val of_bytes_be : string -> t
 
 val to_bytes_be : ?len:int -> t -> string

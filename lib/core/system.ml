@@ -100,14 +100,9 @@ let wire_crash_dump kernel =
                (Pm_obs.Obs.flight (Clock.obs clock))
                16)))
 
-let create ?(seed = 0xC0FFEE) ?costs ?frames ?page_size ?cpus ?(key_bits = 512)
-    ?(delegates = standard_delegates) () =
-  let rng = Prng.create ~seed in
-  let authority = Authority.create rng ~name:"certification-authority" ~key_bits in
-  List.iter
-    (fun (name, policy, latency) ->
-      ignore (Authority.add_delegate authority rng ~name ~policy ~latency ()))
-    delegates;
+(* boot a kernel that trusts [authority] and knows its grants, then wire
+   the services every system carries *)
+let boot ?costs ?frames ?page_size ?cpus rng authority =
   let kernel =
     Kernel.boot ?costs ?frames ?page_size ?cpus ~root:(Authority.ca authority) ()
   in
@@ -121,18 +116,18 @@ let create ?(seed = 0xC0FFEE) ?costs ?frames ?page_size ?cpus ?(key_bits = 512)
   wire_crash_dump kernel;
   { kernel; authority; rng; stats; check }
 
-let with_authority ?costs ?frames ?page_size ~seed authority =
+let create ?(seed = 0xC0FFEE) ?costs ?frames ?page_size ?cpus ?(key_bits = 512)
+    ?(delegates = standard_delegates) () =
   let rng = Prng.create ~seed in
-  let kernel = Kernel.boot ?costs ?frames ?page_size ~root:(Authority.ca authority) () in
-  wire_tracing kernel;
-  wire_chan kernel;
+  let authority = Authority.create rng ~name:"certification-authority" ~key_bits in
   List.iter
-    (Certsvc.add_grant (Kernel.certification kernel))
-    (Authority.grants authority);
-  let stats = wire_stats kernel in
-  let check = wire_check kernel in
-  wire_crash_dump kernel;
-  { kernel; authority; rng; stats; check }
+    (fun (name, policy, latency) ->
+      ignore (Authority.add_delegate authority rng ~name ~policy ~latency ()))
+    delegates;
+  boot ?costs ?frames ?page_size ?cpus rng authority
+
+let with_authority ?costs ?frames ?page_size ~seed authority =
+  boot ?costs ?frames ?page_size (Prng.create ~seed) authority
 
 let kernel t = t.kernel
 let authority t = t.authority

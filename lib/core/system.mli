@@ -44,9 +44,10 @@ val create :
   t
 
 (** [with_authority ?costs ?frames ?page_size ~seed authority] boots a
-    fresh kernel that trusts an *existing* authority (and knows its
-    grants) — how additional nodes of a cluster join a certification
-    domain. *)
+    fresh uniprocessor kernel that trusts an *existing* authority (and
+    knows its grants) — how additional nodes of a cluster join a
+    certification domain. It is [create] without the key generation: the
+    same boot sequence, with [seed] driving the new system's PRNG. *)
 val with_authority :
   ?costs:Pm_machine.Cost.t ->
   ?frames:int ->

@@ -399,9 +399,10 @@ let tail_to_text t n =
    arbitrary strings. The header records completeness: replay equality
    is only meaningful against a complete history. *)
 
-let export_header t =
-  Printf.sprintf "pm-journal-v1 events=%d complete=%d" t.history.len
-    (if complete t then 1 else 0)
+let header_line events complete =
+  Printf.sprintf "pm-journal-v1 events=%d complete=%d" events (if complete then 1 else 0)
+
+let export_header t = header_line t.history.len (complete t)
 
 (* Untraced events (rid 0) keep the original line format, so exports
    stay byte-identical when tracing is off; traced events carry a
@@ -430,65 +431,74 @@ let make_event seq at domain kstr info detail rid cpu =
   | Some kind -> Ok { seq; at; domain; kind; info; detail; rid; cpu }
   | None -> Error (Printf.sprintf "unknown event kind %S" kstr)
 
-(* Optional suffixes in emission order: [rid=N] then [cpu=N], either
-   alone, both, or neither. Try the most specific shape first. *)
+(* Strict: a line imports only if exporting the event it denotes gives
+   back exactly that line, so stray spaces, junk after the detail, a
+   malformed or misplaced [rid=]/[cpu=] suffix and non-canonical numbers
+   are all refused. *)
 let event_of_line line =
-  let attempt fmt k = try Some (Scanf.sscanf line fmt k) with _ -> None in
-  let shapes =
-    [
-      (fun () ->
-        attempt " %d %d %d %s %d %S rid=%d cpu=%d"
-          (fun seq at domain kstr info detail rid cpu ->
-            make_event seq at domain kstr info detail rid cpu));
-      (fun () ->
-        attempt " %d %d %d %s %d %S rid=%d"
-          (fun seq at domain kstr info detail rid ->
-            make_event seq at domain kstr info detail rid 0));
-      (fun () ->
-        attempt " %d %d %d %s %d %S cpu=%d"
-          (fun seq at domain kstr info detail cpu ->
-            make_event seq at domain kstr info detail 0 cpu));
-    ]
-  in
-  match List.find_map (fun f -> f ()) shapes with
-  | Some r -> r
-  | None -> (
-    try
-      Scanf.sscanf line " %d %d %d %s %d %S"
-        (fun seq at domain kstr info detail ->
-          make_event seq at domain kstr info detail 0 0)
-    with
-    | Scanf.Scan_failure m | Failure m -> Error m
-    | End_of_file -> Error "truncated event line")
+  match
+    Scanf.sscanf line "%d %d %d %s %d %S%[^\n]"
+      (fun seq at domain kstr info detail rest ->
+        (seq, at, domain, kstr, info, detail, rest))
+  with
+  | exception (Scanf.Scan_failure m | Failure m) -> Error m
+  | exception End_of_file -> Error "truncated event line"
+  | seq, at, domain, kstr, info, detail, rest ->
+    let field key =
+      List.find_map
+        (fun w ->
+          let k = String.length key in
+          if String.starts_with ~prefix:key w then
+            int_of_string_opt (String.sub w k (String.length w - k))
+          else None)
+        (String.split_on_char ' ' rest)
+      |> Option.value ~default:0
+    in
+    Result.bind
+      (make_event seq at domain kstr info detail (field "rid=") (field "cpu="))
+      (fun e ->
+        if String.equal (event_to_line e) line then Ok e
+        else Error "not in the exported line format")
 
 type import_result = { events : event list; complete : bool }
 
-(* The header already records whether the export covers the whole run;
-   [import_all] surfaces that so consumers (the query fold) can fail
-   soft on truncated histories instead of misattributing. *)
+(* strict in the same way: the header must be exactly what [export]
+   writes for the count and flag it denotes *)
+let header_of_line h =
+  match Scanf.sscanf h "pm-journal-v1 events=%d complete=%d" (fun n c -> (n, c = 1)) with
+  | n, complete when n >= 0 && String.equal h (header_line n complete) -> Ok (n, complete)
+  | _ | (exception (Scanf.Scan_failure _ | Failure _ | End_of_file)) ->
+    Error (Printf.sprintf "bad journal header %S" h)
+
+(* The header records how many events the export holds and whether they
+   cover the whole run. The count is checked, so a recording cut short
+   under an intact header is refused rather than imported as complete;
+   [complete] is surfaced so consumers (the query fold) can fail soft on
+   histories that were compacted. *)
 let import_all s =
   match String.split_on_char '\n' s with
   | [] -> Error "empty journal export"
   | header :: lines ->
     if not (String.length header >= 14 && String.sub header 0 14 = "pm-journal-v1 ")
     then Error "not a pm-journal-v1 export"
-    else begin
-      let complete =
-        try Scanf.sscanf header "pm-journal-v1 events=%d complete=%d"
-              (fun _ c -> c = 1)
-        with _ -> false
-      in
-      let rec go acc = function
-        | [] -> Ok { events = List.rev acc; complete }
-        | "" :: rest -> go acc rest
-        | line :: rest ->
-          (match event_of_line line with
-          | Ok e -> go (e :: acc) rest
-          | Error m ->
-            Error (Printf.sprintf "bad event line %S: %s" line m))
-      in
-      go [] lines
-    end
+    else
+      Result.bind (header_of_line header) (fun (expected, complete) ->
+          let found = List.length lines in
+          if found <> expected then
+            Error
+              (Printf.sprintf
+                 "journal header says events=%d but the export holds %d event lines"
+                 expected found)
+          else begin
+            let rec go acc = function
+              | [] -> Ok { events = List.rev acc; complete }
+              | line :: rest -> (
+                match event_of_line line with
+                | Ok e -> go (e :: acc) rest
+                | Error m -> Error (Printf.sprintf "bad event line %S: %s" line m))
+            in
+            go [] lines
+          end)
 
 let import s = Result.map (fun r -> r.events) (import_all s)
 

@@ -161,12 +161,17 @@ val tail_to_text : t -> int -> string
     identical runs — the replay contract. *)
 val export : t -> string
 
+(** [import s] parses an {!export}. It is strict: every line must be
+    exactly what {!export} would write for the event it denotes (no junk
+    after the detail, no malformed [rid=]/[cpu=] suffix), and the number
+    of event lines must equal the header's [events=N]. Any mismatch is a
+    named [Error], never an exception. *)
 val import : string -> (event list, string) result
 
 type import_result = { events : event list; complete : bool }
 
 (** Like {!import}, but also surfaces the header's completeness flag so
-    consumers can fail soft on truncated (non-complete) histories. *)
+    consumers can fail soft on compacted (non-complete) histories. *)
 val import_all : string -> (import_result, string) result
 
 val event_equal : event -> event -> bool

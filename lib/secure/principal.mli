@@ -6,7 +6,9 @@
     students), component authors — is a principal identified by its public
     key. *)
 
-type t = { name : string; key : Pm_crypto.Rsa.public }
+(** [id] is the key fingerprint, computed once by {!make}; the record is
+    private so it always matches [key]. *)
+type t = private { name : string; key : Pm_crypto.Rsa.public; id : string }
 
 val make : string -> Pm_crypto.Rsa.public -> t
 

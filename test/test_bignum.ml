@@ -89,6 +89,59 @@ let test_mod_pow () =
   check_nat "fermat" N.one (N.mod_pow (N.of_int 2) (N.sub p N.one) p);
   check_nat "mod 1" N.zero (N.mod_pow (N.of_int 5) (N.of_int 3) N.one)
 
+(* The exponent loop the Montgomery one replaced: a full product and a
+   division per step. Kept here as the model [mod_pow] must agree with. *)
+let ref_mod_pow b e m =
+  if N.equal m N.one then N.zero
+  else begin
+    let b = N.rem b m in
+    let r = ref N.one in
+    for i = N.bit_length e - 1 downto 0 do
+      r := N.rem (N.mul !r !r) m;
+      if N.test_bit e i then r := N.rem (N.mul !r b) m
+    done;
+    !r
+  end
+
+let test_mod_pow_edges () =
+  let m = n_of_s "0xfffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff1" in
+  let b = n_of_s "0x1234567890abcdef1234567890abcdef1234567890abcdef1234567890abcdef" in
+  let e = n_of_s "65537" in
+  List.iter
+    (fun (name, b, e, m) -> check_nat name (ref_mod_pow b e m) (N.mod_pow b e m))
+    [
+      ("b = 0", N.zero, e, m);
+      ("e = 0", b, N.zero, m);
+      ("b = 0, e = 0", N.zero, N.zero, m);
+      ("b = m", m, e, m);
+      ("b = m + 1", N.add m N.one, e, m);
+      ("b >> m", N.mul b (N.mul m m), e, m);
+      ("b = m - 1", N.sub m N.one, e, m);
+      ("m = 1", b, e, N.one);
+      ("m = 2", b, e, N.two);
+      ("m = 3", b, e, N.of_int 3);
+      ("single limb odd", b, e, N.of_int ((1 lsl 30) - 35));
+      ("single limb even", b, e, N.of_int ((1 lsl 30) - 2));
+      ("top limb just set", b, e, N.add (N.shift_left N.one 30) N.one);
+      ("even multi-limb", b, e, N.shift_left m 3);
+    ];
+  check_nat "e = 0 gives one" N.one (N.mod_pow b N.zero m);
+  check_nat "b = 0 gives zero" N.zero (N.mod_pow N.zero e m)
+
+let test_of_bytes_vectors () =
+  check_nat "empty" N.zero (N.of_bytes_be "");
+  check_nat "zeros" N.zero (N.of_bytes_be "\000\000\000");
+  Alcotest.(check string) "zero is one byte" "\000" (N.to_bytes_be N.zero);
+  Alcotest.(check string) "zero padded" "\000\000\000" (N.to_bytes_be ~len:3 N.zero);
+  (* bytes that straddle the 30-bit limb boundaries *)
+  let x = n_of_s "0xffeeddccbbaa99887766554433221100" in
+  Alcotest.(check string) "straddling bytes"
+    "\xff\xee\xdd\xcc\xbb\xaa\x99\x88\x77\x66\x55\x44\x33\x22\x11\x00"
+    (N.to_bytes_be x);
+  check_nat "straddling bytes back" x
+    (N.of_bytes_be
+       "\xff\xee\xdd\xcc\xbb\xaa\x99\x88\x77\x66\x55\x44\x33\x22\x11\x00")
+
 let test_gcd_modinv () =
   check_nat "gcd" (N.of_int 6) (N.gcd (N.of_int 48) (N.of_int 18));
   let m = n_of_s "1000000007" in
@@ -139,6 +192,44 @@ let gen_nat =
 
 let arb_nat = QCheck2.Gen.map (fun n -> n) gen_nat
 
+(* a natural of exactly [bits] random bits or fewer, from 30-bit parts *)
+let gen_bits bits =
+  QCheck2.Gen.(
+    map
+      (fun parts ->
+        let x =
+          List.fold_left
+            (fun acc p -> N.add (N.shift_left acc 30) (N.of_int p))
+            N.zero parts
+        in
+        N.shift_right x ((30 * List.length parts) - bits))
+      (list_repeat ((bits + 29) / 30) (int_bound ((1 lsl 30) - 1))))
+
+let gen_wide max_bits = QCheck2.Gen.(int_range 1 max_bits >>= gen_bits)
+
+(* multi-limb moduli of 1..1,100 bits, odd (Montgomery) and even (plain)
+   alike; zero becomes one, the [m = 1] corner *)
+let gen_modulus =
+  QCheck2.Gen.(
+    map2
+      (fun m odd ->
+        if N.is_zero m then N.one
+        else if odd = N.is_odd m then m
+        else if odd then N.add m N.one
+        else if N.equal m N.one then N.two
+        else N.sub m N.one)
+      (gen_wide 1100) bool)
+
+(* the naive big-endian decoding: shift in one byte at a time *)
+let ref_of_bytes_be s =
+  String.fold_left (fun acc c -> N.add (N.shift_left acc 8) (N.of_int (Char.code c))) N.zero s
+
+let gen_bytes_with_leading_zeros =
+  QCheck2.Gen.(
+    map2
+      (fun zeros body -> String.make zeros '\000' ^ body)
+      (int_bound 6) (string_size ~gen:char (int_bound 140)))
+
 let prop name gen f = QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count:300 ~name gen f)
 
 let props =
@@ -180,6 +271,30 @@ let props =
         N.equal
           (N.mod_pow (N.of_int b) (N.of_int e) m)
           (N.rem (N.pow (N.of_int b) e) m));
+    prop "mod_pow agrees with the reference loop on wide moduli"
+      (QCheck2.Gen.triple (gen_wide 1200) (gen_wide 128) gen_modulus)
+      (fun (b, e, m) -> N.equal (N.mod_pow b e m) (ref_mod_pow b e m));
+    prop "mod_pow agrees with the reference loop on single-limb moduli"
+      (QCheck2.Gen.triple (gen_wide 200) (gen_wide 64)
+         (QCheck2.Gen.int_range 1 ((1 lsl 30) - 1)))
+      (fun (b, e, m) ->
+        let m = N.of_int m in
+        N.equal (N.mod_pow b e m) (ref_mod_pow b e m));
+    prop "of_bytes_be matches byte-at-a-time decoding" gen_bytes_with_leading_zeros
+      (fun s -> N.equal (N.of_bytes_be s) (ref_of_bytes_be s));
+    prop "to_bytes_be ~len restores leading zeros" gen_bytes_with_leading_zeros
+      (fun s -> String.equal s (N.to_bytes_be ~len:(String.length s) (N.of_bytes_be s)));
+    prop "to_bytes_be strips leading zeros" gen_bytes_with_leading_zeros (fun s ->
+        let x = N.of_bytes_be s in
+        let out = N.to_bytes_be x in
+        if N.is_zero x then String.equal out "\000"
+        else out.[0] <> '\000' && N.equal x (N.of_bytes_be out));
+    prop "bytes round trip with padding"
+      (QCheck2.Gen.pair (gen_wide 1100) (QCheck2.Gen.int_bound 9))
+      (fun (x, extra) ->
+        let len = ((N.bit_length x + 7) / 8) + extra in
+        let s = N.to_bytes_be ~len x in
+        String.length s = len && N.equal x (N.of_bytes_be s));
     prop "gcd divides both" (QCheck2.Gen.pair arb_nat arb_nat) (fun (a, b) ->
         if N.is_zero a && N.is_zero b then true
         else begin
@@ -205,6 +320,8 @@ let () =
           Alcotest.test_case "bits" `Quick test_bits;
           Alcotest.test_case "pow" `Quick test_pow;
           Alcotest.test_case "mod_pow" `Quick test_mod_pow;
+          Alcotest.test_case "mod_pow edge cases" `Quick test_mod_pow_edges;
+          Alcotest.test_case "byte vectors" `Quick test_of_bytes_vectors;
           Alcotest.test_case "gcd/modinv" `Quick test_gcd_modinv;
           Alcotest.test_case "bytes round trip" `Quick test_bytes_round_trip;
           Alcotest.test_case "compare/min/max" `Quick test_compare_minmax;

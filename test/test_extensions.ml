@@ -324,6 +324,19 @@ let test_cluster_nodes_isolated () =
     (Namespace.exists (Directory.namespace (Kernel.directory kb)) (Path.of_string "/svc/only-a"))
 
 
+(* a node joining an existing authority boots the way [System.create]
+   does: same root of trust, same cycles spent booting *)
+let test_cluster_join_boots_like_create () =
+  let sys = System.create ~seed:0xBEEF ~key_bits:384 () in
+  let auth = System.authority sys in
+  let joined = System.with_authority ~seed:0xBEEF auth in
+  Alcotest.(check string) "trusts the same root"
+    (Principal.id (Authority.ca auth))
+    (Principal.id (Certsvc.root (Kernel.certification (System.kernel joined))));
+  Alcotest.(check int) "boot costs the same cycles"
+    (Clock.now (System.clock sys))
+    (Clock.now (System.clock joined))
+
 (* --- simplefs -------------------------------------------------------------------- *)
 
 let fs_fixture () =
@@ -578,6 +591,8 @@ let () =
           Alcotest.test_case "frame delivery" `Quick test_cluster_frame_delivery;
           Alcotest.test_case "shared authority" `Quick test_cluster_shared_authority;
           Alcotest.test_case "nodes isolated" `Quick test_cluster_nodes_isolated;
+          Alcotest.test_case "join boots like create" `Quick
+            test_cluster_join_boots_like_create;
         ] );
       ( "simplefs",
         [

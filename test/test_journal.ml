@@ -235,6 +235,90 @@ let test_import_rejects_garbage () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "imported a malformed event line"
 
+(* the three shapes a lenient parser let through: junk after the detail,
+   a malformed cpu suffix, and a recording cut short under an intact
+   header *)
+let test_import_is_strict () =
+  let rejects what s =
+    match Journal.import_all s with
+    | Error e -> e
+    | Ok _ -> Alcotest.failf "imported %s" what
+  in
+  let hdr n = Printf.sprintf "pm-journal-v1 events=%d complete=1" n in
+  let good = "0 10 0 trap 1 \"\"" in
+  (match Journal.import_all (hdr 1 ^ "\n" ^ good) with
+  | Ok { Journal.events = [ _ ]; complete = true } -> ()
+  | Ok _ -> Alcotest.fail "well-formed line imported wrongly"
+  | Error e -> Alcotest.fail e);
+  List.iter
+    (fun (what, line) -> ignore (rejects what (hdr 1 ^ "\n" ^ line)))
+    [
+      ("trailing junk after the detail", good ^ " junk");
+      ("trailing junk after a suffix", good ^ " rid=3 x");
+      ("a malformed cpu suffix", good ^ " cpu=zz");
+      ("a malformed cpu suffix after a rid", good ^ " rid=3 cpu=zz");
+      ("suffixes out of order", good ^ " cpu=2 rid=3");
+      ("a zero rid the exporter never writes", good ^ " rid=0");
+      ("a doubled space", "0 10  0 trap 1 \"\"");
+      ("a non-canonical number", "0 0x10 0 trap 1 \"\"");
+      ("an unknown kind", "0 10 0 nonsense 1 \"\"");
+      ("a blank line", "");
+    ];
+  ignore (rejects "a malformed header" "pm-journal-v1 events=x complete=1");
+  ignore (rejects "a header with junk" (hdr 0 ^ " extra"));
+  ignore (rejects "a completeness flag of 2" "pm-journal-v1 events=0 complete=2");
+  (* a truncated recording: the header promises three events *)
+  let j = Journal.create () in
+  Journal.set_mode j Journal.Full;
+  record_traps j 3;
+  let ex = Journal.export j in
+  let cut = String.sub ex 0 (String.rindex ex '\n') in
+  let e = rejects "a truncated recording" cut in
+  Alcotest.(check bool) "the error gives both counts" true
+    (contains e "events=3" && contains e "2 event lines");
+  ignore (rejects "an extra line" (ex ^ "\n" ^ "3 40 0 trap 4 \"\""))
+
+(* import . export = id on random event streams: random kinds, domains,
+   cycles, details (quotes, newlines, escapes), rids and cpus *)
+let prop_export_import_id =
+  let gen_event =
+    QCheck2.Gen.(
+      tup6
+        (oneofl
+           [ Journal.Trap; Journal.Irq; Journal.Fault; Journal.Install; Journal.Mark ])
+        (int_range (-1) 64) (int_bound 1_000_000)
+        (oneof [ int; small_signed_int ])
+        (oneof [ oneofl gnarly_details; string_size ~gen:char (int_bound 40) ])
+        (pair (frequency [ (2, return 0); (1, int_bound 5000) ])
+           (frequency [ (2, return 0); (1, int_bound 7) ])))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200 ~name:"import . export = id"
+       QCheck2.Gen.(list_size (int_bound 40) gen_event)
+       (fun evs ->
+         Fun.protect
+           ~finally:(fun () ->
+             Journal.set_current_cpu 0;
+             Trace.set_enabled false;
+             Trace.reset ())
+           (fun () ->
+             let j = Journal.create () in
+             Journal.set_mode j Journal.Full;
+             Trace.set_enabled true;
+             List.iter
+               (fun (kind, domain, at, info, detail, (rid, cpu)) ->
+                 Trace.set_current rid;
+                 Journal.set_current_cpu cpu;
+                 Journal.record j ~kind ~domain ~at ~info ~detail)
+               evs;
+             let ex = Journal.export j in
+             match Journal.import_all ex with
+             | Error e -> QCheck2.Test.fail_reportf "import failed: %s" e
+             | Ok { Journal.events; complete } ->
+               complete
+               && List.length events = List.length (Journal.history j)
+               && List.for_all2 Journal.event_equal (Journal.history j) events)))
+
 let test_first_divergence () =
   let j = Journal.create () in
   Journal.set_mode j Journal.Full;
@@ -464,6 +548,17 @@ let flip s ~from ~to_ =
   in
   go 0
 
+(* replace the first occurrence of [from], lengths free *)
+let splice s ~from ~to_ =
+  let flen = String.length from in
+  let rec go i =
+    if i + flen > String.length s then s
+    else if String.sub s i flen = from then
+      String.sub s 0 i ^ to_ ^ String.sub s (i + flen) (String.length s - i - flen)
+    else go (i + 1)
+  in
+  go 0
+
 let test_recording_roundtrip_and_tamper () =
   match Replay.record "compose" with
   | Error e -> Alcotest.fail e
@@ -477,20 +572,34 @@ let test_recording_roundtrip_and_tamper () =
         r'.Replay.journal;
       Alcotest.(check string) "stats survive" r.Replay.stats r'.Replay.stats
     | Error e -> Alcotest.fail ("round-trip failed: " ^ e));
-    (* a tampered recording is caught with a divergence diagnosis.
-       "txn-abort " is the same width as "txn-commit", so the line still
-       parses — only the event kind lies *)
+    (* a well-formed tamper still parses — only the event kind lies — so
+       replay names the first divergent event on both sides *)
     let tampered =
       { r with
-        Replay.journal = flip r.Replay.journal ~from:"txn-commit" ~to_:"txn-abort " }
+        Replay.journal = splice r.Replay.journal ~from:"txn-commit" ~to_:"txn-abort" }
     in
     Alcotest.(check bool) "tamper left the journal changed" true
       (tampered.Replay.journal <> r.Replay.journal);
     (match Replay.replay tampered with
     | Error e ->
       Alcotest.(check bool) "divergence diagnosed" true
-        (String.length e > 0)
+        (contains e "journal diverged: first divergence at event");
+      Alcotest.(check bool) "diagnosis shows the lying kind" true
+        (contains e "txn-abort");
+      Alcotest.(check bool) "diagnosis shows the true kind" true
+        (contains e "txn-commit")
     | Ok () -> Alcotest.fail "tampered recording replayed clean");
+    (* an in-place flip to "txn-abort " leaves a doubled space: the line
+       no longer parses and replay says so rather than diagnosing *)
+    let malformed =
+      { r with
+        Replay.journal = flip r.Replay.journal ~from:"txn-commit" ~to_:"txn-abort " }
+    in
+    (match Replay.replay malformed with
+    | Error e ->
+      Alcotest.(check bool) "malformed recording is unreadable" true
+        (contains e "recording unreadable: bad event line")
+    | Ok () -> Alcotest.fail "malformed recording replayed clean");
     match Replay.record "no-such-scenario" with
     | Error _ -> ()
     | Ok _ -> Alcotest.fail "unknown scenario recorded"
@@ -506,10 +615,23 @@ let test_bisect_narrows_divergence () =
       Alcotest.(check bool) "clean recording has nothing to narrow" true
         (contains msg "nothing to narrow")
     | Error e -> Alcotest.fail ("clean bisect failed: " ^ e));
-    let tampered =
+    (* an in-place flip to "txn-abort " leaves a doubled space, which the
+       strict import refuses outright *)
+    let malformed =
       { r with
         Replay.journal =
           flip r.Replay.journal ~from:"txn-commit" ~to_:"txn-abort " }
+    in
+    (match Replay.bisect malformed with
+    | Error e ->
+      Alcotest.(check bool) "malformed recording is refused by name" true
+        (contains e "bad event line")
+    | Ok _ -> Alcotest.fail "bisect accepted a malformed recording");
+    (* a well-formed edit of the same event is a divergence to narrow *)
+    let tampered =
+      { r with
+        Replay.journal =
+          splice r.Replay.journal ~from:"txn-commit" ~to_:"txn-abort" }
     in
     (match Replay.bisect tampered with
     | Ok report ->
@@ -636,6 +758,8 @@ let () =
             test_export_import_roundtrip;
           Alcotest.test_case "import rejects garbage" `Quick
             test_import_rejects_garbage;
+          Alcotest.test_case "import is strict" `Quick test_import_is_strict;
+          prop_export_import_id;
           Alcotest.test_case "first divergence" `Quick test_first_divergence;
           Alcotest.test_case "rid round-trip" `Quick test_rid_roundtrip;
           Alcotest.test_case "adversarial marks round-trip" `Quick

@@ -49,6 +49,27 @@ let test_principal_identity () =
   Alcotest.(check bool) "same key, same principal" true (Principal.equal p1 p1');
   Alcotest.(check bool) "same name, different key" false (Principal.equal p1 p2)
 
+(* the fingerprint cached by Principal.make is the key's, for any key *)
+let test_principal_id_is_fingerprint () =
+  let r = rng () in
+  for bits = 64 to 71 do
+    let key = Rsa.generate r ~bits:(bits * 4) in
+    let p = Principal.make "p" key.Rsa.pub in
+    Alcotest.(check string) "id = fingerprint key" (Rsa.fingerprint p.Principal.key)
+      (Principal.id p)
+  done
+
+(* Pinned: the boot seed's first 512-bit key, as generated before modexp
+   moved to Montgomery form. Any change to the arithmetic or to the PRNG
+   stream that alters generated keys shows up here. *)
+let test_pinned_boot_key () =
+  let key = Rsa.generate (Prng.create ~seed:0xC0FFEE) ~bits:512 in
+  Alcotest.(check string) "fingerprint" "e4efa23ac84ff8a5" (Rsa.fingerprint key.Rsa.pub);
+  Alcotest.(check string) "modulus"
+    "c4c703f5d9e887f129577db97e7a7452ebc3446f4cae87ca5a1521ce04d6ac85\
+     94773829fef4c6d912f1fa56131c0377d6aa64190bc153865d48878941fbdf19"
+    (Nat.to_hex key.Rsa.pub.Rsa.n)
+
 (* --- certificates ------------------------------------------------------- *)
 
 let test_certificate_sign_verify () =
@@ -302,7 +323,13 @@ let props =
 let () =
   Alcotest.run "secure"
     [
-      ("principal", [ Alcotest.test_case "identity" `Quick test_principal_identity ]);
+      ( "principal",
+        [
+          Alcotest.test_case "identity" `Quick test_principal_identity;
+          Alcotest.test_case "id is the key fingerprint" `Quick
+            test_principal_id_is_fingerprint;
+          Alcotest.test_case "pinned boot key" `Quick test_pinned_boot_key;
+        ] );
       ( "certificate",
         [ Alcotest.test_case "sign/verify/tamper" `Quick test_certificate_sign_verify ] );
       ( "delegation",
