@@ -15,10 +15,13 @@ bench:
 bench-smoke:
 	dune exec bench/main.exe -- obs e14 e15 e16 e18 e19 e20 e21 e22 e23 replay --quick
 
-# the channel-backed data path exercised through the demo binary, and
-# the whole-system KV workload on top of it
+# the channel-backed data path exercised through the demo binary, the
+# /stats snapshot and flight dump, the span tree, and the whole-system
+# KV workload on top of it
 demo-smoke:
 	dune exec bin/paramecium_demo.exe -- packets --net-chan -n 10
+	dune exec bin/paramecium_demo.exe -- packets --stats -n 10
+	dune exec bin/paramecium_demo.exe -- packets --trace -n 10
 	dune exec bin/paramecium_demo.exe -- kv -n 4
 
 # record/replay determinism: every scenario self-checks, and a recording

@@ -2747,6 +2747,14 @@ let wall_clock_suite () =
   let e3_k, _, e3_udom, _, _, e3_proxy = E3.fixture () in
   Mmu.switch_context (Machine.mmu (Kernel.machine e3_k)) e3_udom.Domain.id;
   let e3_ctx = Kernel.ctx e3_k e3_udom in
+  (* the E1 and E3 workloads again with tracing on: the host cost of
+     one instrumented call *)
+  let e1t = E1.make_fixture () in
+  Obs.enable (Clock.obs e1t.E1.ctx.Call_ctx.clock);
+  let e3t_k, _, e3t_udom, _, _, e3t_proxy = E3.fixture () in
+  Mmu.switch_context (Machine.mmu (Kernel.machine e3t_k)) e3t_udom.Domain.id;
+  let e3t_ctx = Kernel.ctx e3t_k e3t_udom in
+  Obs.enable (Clock.obs (Kernel.clock e3t_k));
   let e4_sys = fresh_sys () in
   let e4_k = System.kernel e4_sys in
   let e4_kdom = Kernel.kernel_domain e4_k in
@@ -2799,12 +2807,22 @@ let wall_clock_suite () =
                ignore
                  (Invoke.call e1.E1.ctx e1.E1.plain ~iface:"work" ~meth:"run"
                     [ Value.Int 100 ])));
+        Test.make ~name:"e1_invoke_traced"
+          (Staged.stage (fun () ->
+               ignore
+                 (Invoke.call e1t.E1.ctx e1t.E1.plain ~iface:"work" ~meth:"run"
+                    [ Value.Int 100 ])));
         Test.make ~name:"e2_bind_depth4"
           (Staged.stage (fun () -> ignore (View.bind e2_ctx e2_root e2_path)));
         Test.make ~name:"e3_crossdomain_call"
           (Staged.stage (fun () ->
                ignore
                  (Invoke.call e3_ctx e3_proxy ~iface:"echo" ~meth:"echo"
+                    [ Value.Int 1 ])));
+        Test.make ~name:"e3_crossdomain_traced"
+          (Staged.stage (fun () ->
+               ignore
+                 (Invoke.call e3t_ctx e3t_proxy ~iface:"echo" ~meth:"echo"
                     [ Value.Int 1 ])));
         Test.make ~name:"e4_packet_rx_certified"
           (Staged.stage (fun () ->

@@ -81,18 +81,10 @@ let hwrite t off v =
 
 let with_span t ~domain ~meth f =
   let clock = Machine.clock t.machine in
-  let obs = Clock.obs clock in
-  if not (Obs.enabled obs) then f ()
-  else begin
-    let tok =
-      Obs.span_begin obs ~now:(Clock.now clock) ~domain
-        ~obj:("mpsc." ^ t.group_name) ~iface:"mpsc" ~meth
-    in
-    let r = f () in
-    Clock.advance clock (Machine.costs t.machine).Cost.mem_write;
-    Obs.span_end obs ~now:(Clock.now clock) tok;
-    r
-  end
+  if not (Obs.enabled (Clock.obs clock)) then f ()
+  else
+    Clock.span clock ~costs:(Machine.costs t.machine) ~domain
+      ~obj:("mpsc." ^ t.group_name) ~iface:"mpsc" ~meth f
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)

@@ -12,7 +12,7 @@ module Value = Pm_obj.Value
 module Vtype = Pm_obj.Vtype
 module Oerror = Pm_obj.Oerror
 module Obs = Pm_obs.Obs
-module Flightrec = Pm_obs.Flightrec
+module Journal = Pm_journal.Journal
 module Directory = Pm_nucleus.Directory
 module Events = Pm_nucleus.Events
 module Domain = Pm_nucleus.Domain
@@ -39,13 +39,12 @@ let run t =
   in
   t.last <- Some report;
   t.runs <- t.runs + 1;
-  let clock = Machine.clock t.machine in
-  let obs = Clock.obs clock in
   (* always-on black-box entry: one record per run, info = error count *)
-  Flightrec.record (Obs.flight obs) ~kind:Flightrec.Check
+  Journal.record journal ~kind:Journal.Check
     ~domain:(Pm_machine.Mmu.current_context (Machine.mmu t.machine))
-    ~at:(Clock.now clock)
-    ~info:(List.length (Lint.errors report));
+    ~at:(Clock.now (Machine.clock t.machine))
+    ~info:(List.length (Lint.errors report))
+    ~detail:"";
   report
 
 let last t = t.last

@@ -29,7 +29,6 @@ module Query = Pm_query.Query
 module Tracer = Pm_obs.Tracer
 module Metrics = Pm_obs.Metrics
 module Acct = Pm_obs.Acct
-module Flightrec = Pm_obs.Flightrec
 module Obs = Pm_obs.Obs
 
 (* simulated machine *)

@@ -96,8 +96,8 @@ let wire_crash_dump kernel =
       Logs.debug (fun m ->
           m "Oerror (%s); flight recorder (last 16 events):@\n%s"
             (Pm_obj.Oerror.to_string e)
-            (Pm_obs.Flightrec.tail_to_text
-               (Pm_obs.Obs.flight (Clock.obs clock))
+            (Pm_journal.Journal.tail_exec_to_text
+               (Pm_obs.Obs.journal (Clock.obs clock))
                16)))
 
 (* boot a kernel that trusts [authority] and knows its grants, then wire

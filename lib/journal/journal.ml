@@ -387,11 +387,13 @@ let stats_line t =
 let to_text t =
   String.concat "\n" (stats_line t :: List.map event_to_text (tail t))
 
-let tail_to_text t n =
-  let evs = tail t in
+let last_to_text n evs =
   let len = List.length evs in
   let sel = if len <= n then evs else List.filteri (fun i _ -> i >= len - n) evs in
   String.concat "\n" (List.map event_to_text sel)
+
+let tail_to_text t n = last_to_text n (tail t)
+let tail_exec_to_text t n = last_to_text (if n <= 0 then max_int else n) (tail_exec t)
 
 (* ---------------- replay export / import ----------------------------- *)
 

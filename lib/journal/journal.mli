@@ -14,9 +14,10 @@
     journal is replayable: re-running the same scenario reproduces the
     {!export} byte for byte.
 
-    {!Pm_obs.Flightrec} is a view over this journal: the old bounded
-    black-box ring is the journal's [Tail] filtered to execution
-    events. *)
+    The flight recorder is a view over this journal, not a store of its
+    own: the bounded black-box ring is the [Tail] filtered to execution
+    events ({!tail_exec}), rendered by {!tail_exec_to_text} and shipped
+    off-system with {!export}/{!import}. *)
 
 type kind =
   | Trap
@@ -153,6 +154,11 @@ val event_to_text : event -> string
 val stats_line : t -> string
 val to_text : t -> string
 val tail_to_text : t -> int -> string
+
+(** [tail_exec_to_text t n] renders the [n] most recent execution events
+    of the tail ({!tail_exec}), all of them when [n <= 0] — the
+    flight-recorder dump. *)
+val tail_exec_to_text : t -> int -> string
 
 (** {2 Replay export / import} *)
 

@@ -27,6 +27,21 @@ let now t = t.cycles
 
 let obs t = t.obs
 
+(* The one span bracket every instrumentation point shares. Callers test
+   [Obs.enabled] first, so the untraced path never reaches here. *)
+let span t ~(costs : Cost.t) ~domain ~obj ~iface ~meth ?sample f =
+  let t0 = t.cycles in
+  let tok = Pm_obs.Obs.span_begin t.obs ~now:t0 ~domain ~obj ~iface ~meth in
+  let r = f () in
+  (* one simulated store books the completed span into the ring *)
+  advance t costs.Cost.mem_write;
+  let t1 = t.cycles in
+  Pm_obs.Obs.span_end t.obs ~now:t1 tok;
+  (match sample with
+  | Some name -> Pm_obs.Obs.observe t.obs ~domain name (t1 - t0)
+  | None -> ());
+  r
+
 let count_n t name n =
   match Hashtbl.find_opt t.counters name with
   | Some r -> r := !r + n

@@ -52,6 +52,24 @@ val measure : t -> (unit -> 'a) -> 'a * int
     [Pm_obs.Obs.enable] is called. *)
 val obs : t -> Pm_obs.Obs.t
 
+(** [span t ~costs ~domain ~obj ~iface ~meth ?sample f] runs [f ()] as
+    one traced operation: a tracer span from now until [f] returns plus
+    one [mem_write] that books it, and, with [sample], the span's
+    duration observed into that histogram for [domain]. It assumes
+    tracing is on: callers test [Pm_obs.Obs.enabled (obs t)] and call
+    the body directly when it is off, so the untraced path is one
+    boolean test that allocates nothing. *)
+val span :
+  t ->
+  costs:Cost.t ->
+  domain:int ->
+  obj:string ->
+  iface:string ->
+  meth:string ->
+  ?sample:string ->
+  (unit -> 'a) ->
+  'a
+
 (** {2 Snapshots}
 
     [snapshot]/[diff]/[since] replace the hand-rolled

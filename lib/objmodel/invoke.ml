@@ -29,23 +29,11 @@ let dispatch (ctx : Call_ctx.t) obj ~iface ~meth args =
     end
 
 let call (ctx : Call_ctx.t) obj ~iface ~meth args =
-  let obs = Clock.obs ctx.clock in
-  if not (Obs.enabled obs) then dispatch ctx obj ~iface ~meth args
-  else begin
-    let t0 = Clock.now ctx.clock in
-    let tok =
-      Obs.span_begin obs ~now:t0 ~domain:ctx.caller_domain
-        ~obj:obj.Instance.class_name ~iface ~meth
-    in
-    let result = dispatch ctx obj ~iface ~meth args in
-    (* one simulated store books the completed span into the ring *)
-    Clock.advance ctx.clock ctx.costs.Cost.mem_write;
-    let t1 = Clock.now ctx.clock in
-    Obs.span_end obs ~now:t1 tok;
-    Obs.observe obs ~domain:ctx.caller_domain "invoke.dispatch" (t1 - t0);
-    Pm_obs.Acct.dispatch (Obs.acct obs) ~domain:ctx.caller_domain (t1 - t0);
-    result
-  end
+  if not (Obs.enabled (Clock.obs ctx.clock)) then dispatch ctx obj ~iface ~meth args
+  else
+    Clock.span ctx.clock ~costs:ctx.costs ~domain:ctx.caller_domain
+      ~obj:obj.Instance.class_name ~iface ~meth ~sample:"invoke.dispatch" (fun () ->
+        dispatch ctx obj ~iface ~meth args)
 
 let call_exn ctx obj ~iface ~meth args =
   match call ctx obj ~iface ~meth args with

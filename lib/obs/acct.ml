@@ -1,45 +1,44 @@
-(* Per-domain resource accounting. One mutable slot per protection
-   domain, updated from the existing instrumentation points (Invoke /
-   Events / Vmem / Proxy / Scheduler) inside their [Obs.enabled]
-   branches — so accounting shares the tracer's zero-cost-when-off
-   guarantee and never calls [Clock.advance] itself. *)
+(* Per-domain resource accounting as a read-time view over the metrics
+   registry. The instrumentation points (Invoke / Events / Vmem / Proxy /
+   Scheduler) record one histogram sample or counter bump per traced
+   event; every field here is a count or a sum of one of those, so there
+   is no second table to keep in step — and nothing for [Obs.reset] to
+   leave stale. *)
 
-type slot = {
-  mutable cycles : int; (* instrumented cycles attributed to the domain *)
-  mutable dispatches : int;
-  mutable traps : int;
-  mutable irqs : int;
-  mutable faults : int;
-  mutable crossings : int;
-  mutable crossing_cycles : int;
-  mutable sched_runs : int;
-  mutable pages : int; (* gauge: pages held, refreshed by the stats service *)
+type t = {
+  cycles : int;
+  dispatches : int;
+  traps : int;
+  irqs : int;
+  faults : int;
+  crossings : int;
+  crossing_cycles : int;
+  sched_runs : int;
+  pages : int;
 }
 
-type t = (int, slot) Hashtbl.t
-
-let create () : t = Hashtbl.create 8
-
-let fresh () =
-  { cycles = 0; dispatches = 0; traps = 0; irqs = 0; faults = 0; crossings = 0;
-    crossing_cycles = 0; sched_runs = 0; pages = 0 }
-
-let slot (t : t) domain =
-  match Hashtbl.find_opt t domain with
-  | Some s -> s
-  | None ->
-    let s = fresh () in
-    Hashtbl.add t domain s;
-    s
-
-let find (t : t) domain = Hashtbl.find_opt t domain
-
-let domains (t : t) =
-  Hashtbl.fold (fun d _ acc -> d :: acc) t [] |> List.sort_uniq compare
-
-let reset (t : t) = Hashtbl.reset t
-
-let copy s = { s with cycles = s.cycles }
+let of_metrics m ~domain ~pages =
+  let count_sum name =
+    match Metrics.summary m ~domain name with
+    | Some s -> (s.Metrics.count, s.Metrics.sum)
+    | None -> (0, 0)
+  in
+  let dispatches, dc = count_sum "invoke.dispatch" in
+  let traps, tc = count_sum "events.trap" in
+  let irqs, ic = count_sum "events.irq" in
+  let faults, fc = count_sum "vmem.fault" in
+  let crossings, crossing_cycles = count_sum "proxy.call" in
+  {
+    cycles = dc + tc + ic + fc + crossing_cycles;
+    dispatches;
+    traps;
+    irqs;
+    faults;
+    crossings;
+    crossing_cycles;
+    sched_runs = Metrics.counter m ~domain "sched.runs";
+    pages;
+  }
 
 (* counters subtract; [pages] is a gauge and keeps the [after] value *)
 let sub ~after ~before =
@@ -54,38 +53,6 @@ let sub ~after ~before =
     sched_runs = after.sched_runs - before.sched_runs;
     pages = after.pages;
   }
-
-(* charge helpers — call sites pass the cycles their span measured *)
-
-let dispatch t ~domain n =
-  let s = slot t domain in
-  s.dispatches <- s.dispatches + 1;
-  s.cycles <- s.cycles + n
-
-let trap t ~domain n =
-  let s = slot t domain in
-  s.traps <- s.traps + 1;
-  s.cycles <- s.cycles + n
-
-let irq t ~domain n =
-  let s = slot t domain in
-  s.irqs <- s.irqs + 1;
-  s.cycles <- s.cycles + n
-
-let fault t ~domain n =
-  let s = slot t domain in
-  s.faults <- s.faults + 1;
-  s.cycles <- s.cycles + n
-
-let crossing t ~domain n =
-  let s = slot t domain in
-  s.crossings <- s.crossings + 1;
-  s.crossing_cycles <- s.crossing_cycles + n;
-  s.cycles <- s.cycles + n
-
-let sched t ~domain =
-  let s = slot t domain in
-  s.sched_runs <- s.sched_runs + 1
 
 let fields s =
   [

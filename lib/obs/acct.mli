@@ -1,64 +1,47 @@
-(** Per-domain resource accounting.
+(** Per-domain resource accounting, as a view over {!Metrics}.
 
-    Every protection domain gets one mutable [slot] accumulating
-    cycles, dispatches, traps, interrupts, page faults, proxy crossings
-    and pages held. The slots live in a table keyed by domain id and
-    owned by the clock's {!Obs.t}; the nucleus shares the same records
-    through [Domain.t.acct], so both sides see one set of numbers.
+    Nothing is charged here. Each instrumentation point records one
+    sample per traced event into the metrics registry, keyed by the
+    domain it ran on behalf of; {!of_metrics} reads a domain's record
+    back out of those samples:
 
-    Updates happen only inside the instrumentation points' existing
-    [Obs.enabled] branches and never advance the virtual clock, so the
-    zero-cost-when-off guarantee covers accounting too. [cycles] sums
-    the instrumented span durations attributed to the domain; nested
-    spans in the same domain may overlap, so treat it as an attribution
-    measure, not a wall total. *)
+    - [dispatches], [traps], [irqs], [faults], [crossings] — the sample
+      counts of [invoke.dispatch], [events.trap], [events.irq],
+      [vmem.fault] and [proxy.call];
+    - [crossing_cycles] — the sum of [proxy.call];
+    - [cycles] — the sum of all five histograms' sums (nested spans in
+      the same domain may overlap, so it is an attribution measure, not
+      a wall total);
+    - [sched_runs] — the [sched.runs] counter;
+    - [pages] — supplied by the caller (from [Vmem.pages_of]).
 
-type slot = {
-  mutable cycles : int;
-  mutable dispatches : int;
-  mutable traps : int;
-  mutable irqs : int;
-  mutable faults : int;
-  mutable crossings : int;
-  mutable crossing_cycles : int;
-  mutable sched_runs : int;
-  mutable pages : int;  (** gauge, refreshed by the stats service *)
+    Because the samples are only taken inside the [Obs.enabled]
+    branches, the view inherits the zero-cost-when-off guarantee, and
+    [Obs.reset] clears it along with the metrics it reads. *)
+
+type t = {
+  cycles : int;
+  dispatches : int;
+  traps : int;
+  irqs : int;
+  faults : int;
+  crossings : int;
+  crossing_cycles : int;
+  sched_runs : int;
+  pages : int;  (** gauge: pages the domain holds *)
 }
 
-type t
-
-val create : unit -> t
-
-(** A fresh all-zero slot not attached to any table. *)
-val fresh : unit -> slot
-
-(** [slot t domain] finds or creates the domain's slot. *)
-val slot : t -> int -> slot
-
-val find : t -> int -> slot option
-
-(** Domain ids with slots, ascending. *)
-val domains : t -> int list
-
-val reset : t -> unit
-val copy : slot -> slot
+(** [of_metrics m ~domain ~pages] is [domain]'s accounting as [m] holds
+    it now. *)
+val of_metrics : Metrics.t -> domain:int -> pages:int -> t
 
 (** [sub ~after ~before] — counter fields subtract, [pages] keeps the
     [after] value (it is a gauge). *)
-val sub : after:slot -> before:slot -> slot
-
-(** {2 Charge helpers} — [n] is the measured span duration in cycles. *)
-
-val dispatch : t -> domain:int -> int -> unit
-val trap : t -> domain:int -> int -> unit
-val irq : t -> domain:int -> int -> unit
-val fault : t -> domain:int -> int -> unit
-val crossing : t -> domain:int -> int -> unit
-val sched : t -> domain:int -> unit
+val sub : after:t -> before:t -> t
 
 (** {2 Export} *)
 
-val fields : slot -> (string * int) list
-val field : slot -> string -> int option
-val line : slot -> string
-val to_json : slot -> string
+val fields : t -> (string * int) list
+val field : t -> string -> int option
+val line : t -> string
+val to_json : t -> string

@@ -2,17 +2,15 @@ type t = {
   mutable enabled : bool;
   tracer : Tracer.t;
   metrics : Metrics.t;
-  acct : Acct.t;
-  flight : Flightrec.t;
+  journal : Pm_journal.Journal.t;
 }
 
-let create ?capacity ?flight_capacity () =
+let create () =
   {
     enabled = false;
-    tracer = Tracer.create ?capacity ();
+    tracer = Tracer.create ();
     metrics = Metrics.create ();
-    acct = Acct.create ();
-    flight = Flightrec.create ?capacity:flight_capacity ();
+    journal = Pm_journal.Journal.create ();
   }
 
 let enabled t = t.enabled
@@ -20,13 +18,7 @@ let enable t = t.enabled <- true
 let disable t = t.enabled <- false
 let tracer t = t.tracer
 let metrics t = t.metrics
-let acct t = t.acct
-let flight t = t.flight
-
-(* the journal behind the flight recorder: the complete event-sourced
-   history (structural mutations included) of which the flight ring is
-   the execution-only tail view *)
-let journal t = Flightrec.journal t.flight
+let journal t = t.journal
 
 let span_begin t ~now ~domain ~obj ~iface ~meth =
   Tracer.begin_span t.tracer ~now ~domain ~obj ~iface ~meth
@@ -41,8 +33,7 @@ let set_gauge t ~domain name v = Metrics.set_gauge t.metrics ~domain name v
 let reset t =
   Tracer.reset t.tracer;
   Metrics.reset t.metrics;
-  Acct.reset t.acct;
-  Flightrec.reset t.flight
+  Pm_journal.Journal.reset t.journal
 
 let to_text t = Tracer.to_text t.tracer ^ "\n" ^ Metrics.to_text t.metrics
 

@@ -1,18 +1,22 @@
-(** The observability sink: one span {!Tracer}, one {!Metrics} registry
-    and one per-domain {!Acct} table behind a single cheap [enabled]
-    flag, plus an always-on {!Flightrec}.
+(** The observability sink: one store per kind of fact. A span
+    {!Tracer} and a {!Metrics} registry sit behind a single cheap
+    [enabled] flag; the system {!Pm_journal.Journal} records always.
+    Everything else is a view: per-domain accounting ({!Acct}) is read
+    out of the metrics, and the flight recorder is the journal's tail
+    restricted to execution events.
 
     Every virtual clock owns one of these; instrumented hot paths —
     method dispatch, event delivery, page-fault handling, cross-domain
-    proxies, the scheduler — test {!enabled} and skip everything
-    (including all cycle charges and accounting updates) when tracing is
-    off, so a quiescent tracer costs nothing in simulated cycles. The
-    flight recorder is the one exception: it records regardless of the
-    flag, but with plain stores and no cycle charges. *)
+    proxies, channels, the scheduler — test {!enabled} and skip
+    everything (including all cycle charges) when tracing is off, so a
+    quiescent tracer costs nothing in simulated cycles. The traced path
+    is the one span bracket [Pm_machine.Clock.span]. The journal is the
+    exception: it records regardless of the flag, but with plain stores
+    and no cycle charges. *)
 
 type t
 
-val create : ?capacity:int -> ?flight_capacity:int -> unit -> t
+val create : unit -> t
 
 val enabled : t -> bool
 val enable : t -> unit
@@ -20,11 +24,9 @@ val disable : t -> unit
 
 val tracer : t -> Tracer.t
 val metrics : t -> Metrics.t
-val acct : t -> Acct.t
-val flight : t -> Flightrec.t
 
-(** The system journal the flight recorder views: the complete
-    event-sourced history, structural mutations included. *)
+(** The system journal: the complete event-sourced history, structural
+    mutations included. Its execution tail is the flight recorder. *)
 val journal : t -> Pm_journal.Journal.t
 
 (** {2 Conveniences forwarding to the tracer / metrics} *)
@@ -38,8 +40,8 @@ val incr : t -> domain:int -> string -> unit
 val add : t -> domain:int -> string -> int -> unit
 val set_gauge : t -> domain:int -> string -> int -> unit
 
-(** Clears spans, metrics, accounting and the flight recorder; leaves
-    [enabled] untouched. *)
+(** Clears spans, metrics and the journal — and with the metrics every
+    accounting view derived from them; leaves [enabled] untouched. *)
 val reset : t -> unit
 
 val to_text : t -> string

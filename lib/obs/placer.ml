@@ -35,7 +35,7 @@ type comp = {
          latency (first move) or folds it in (EWMA thereafter). *)
   mutable observed_moves : int;
   mutable placement : placement;
-  mutable base : (int * Acct.slot) list;
+  mutable base : (int * Acct.t) list;
   mutable streak : int;
   mutable cool : int;
   mutable moves : int;
@@ -107,8 +107,8 @@ let create ~clock ~costs ?(up_share = 0.2) ?(fault_demote = 3)
   }
 
 let snapshot_watch clock watch =
-  let acct = Obs.acct (Clock.obs clock) in
-  List.map (fun d -> (d, Acct.copy (Acct.slot acct d))) watch
+  let metrics = Obs.metrics (Clock.obs clock) in
+  List.map (fun d -> (d, Acct.of_metrics metrics ~domain:d ~pages:0)) watch
 
 let manage t ~watch ~placement ?(verified_ok = false) ?(move_cost = 0) ~migrate () =
   t.comps <-
@@ -161,8 +161,8 @@ let comp_epoch t dt (c : comp) actions =
     List.fold_left2 (fun acc (_, before) (_, after) -> acc + (f after - f before)) 0
       c.base cur
   in
-  let dcross = delta (fun (s : Acct.slot) -> s.Acct.crossing_cycles) in
-  let dfaults = delta (fun (s : Acct.slot) -> s.Acct.faults) in
+  let dcross = delta (fun (s : Acct.t) -> s.Acct.crossing_cycles) in
+  let dfaults = delta (fun (s : Acct.t) -> s.Acct.faults) in
   c.base <- cur;
   let share = float_of_int dcross /. float_of_int dt in
   t.last_share <- share;

@@ -1,5 +1,7 @@
 (* The /stats namespace: per-domain accounting made visible as ordinary
-   objects. One service object at /stats/kernel exports kernel-wide
+   objects. Nothing here is stored: every read derives the accounting
+   from the clock's metrics (Acct.of_metrics) and the flight dump from
+   the journal's execution tail. One service object at /stats/kernel exports kernel-wide
    snapshot/diff/flight, and each protection domain gets a directory
    object at /stats/<name> — both reachable cross-domain through the
    normal proxy path and interposable like any agent, because they are
@@ -20,14 +22,14 @@ module Path = Pm_names.Path
 module Obs = Pm_obs.Obs
 module Acct = Pm_obs.Acct
 module Metrics = Pm_obs.Metrics
-module Flightrec = Pm_obs.Flightrec
+module Journal = Pm_journal.Journal
 module Tracer = Pm_obs.Tracer
 
 type t = {
   api : Api.t;
   domains : unit -> Domain.t list;
   published : (int, string) Hashtbl.t; (* domain id -> /stats path *)
-  mutable baseline : (int * string * Acct.slot) list; (* id, name, copy *)
+  mutable baseline : (int * string * Acct.t) list; (* id, name, accounting *)
   mutable baseline_at : int;
   mutable kernel_obj : Instance.t option;
 }
@@ -37,15 +39,13 @@ let obs t = Clock.obs (clock t)
 
 let live_domains t = List.filter (fun d -> d.Domain.alive) (t.domains ())
 
-(* the [pages] field is a gauge: refresh it from Vmem before exporting *)
-let refresh t =
-  List.iter
-    (fun d -> d.Domain.acct.Acct.pages <- Vmem.pages_of t.api.Api.vmem d)
-    (live_domains t)
+(* a domain's accounting as of now: the metrics' view, with the [pages]
+   gauge read from Vmem *)
+let acct t (d : Domain.t) =
+  Acct.of_metrics (Obs.metrics (obs t)) ~domain:d.Domain.id
+    ~pages:(Vmem.pages_of t.api.Api.vmem d)
 
-let capture t =
-  refresh t;
-  List.map (fun d -> (d.Domain.id, d.Domain.name, Acct.copy d.Domain.acct)) (live_domains t)
+let capture t = List.map (fun d -> (d.Domain.id, d.Domain.name, acct t d)) (live_domains t)
 
 let mark t =
   t.baseline <- capture t;
@@ -61,21 +61,19 @@ let dom_json id name slot =
     (Acct.to_json slot)
 
 let snapshot_text t =
-  refresh t;
   let header =
     Printf.sprintf "/stats snapshot @ %d cyc, %d domains" (Clock.now (clock t))
       (List.length (live_domains t))
   in
   let lines =
-    List.map (fun d -> dom_line d.Domain.id d.Domain.name d.Domain.acct) (live_domains t)
+    List.map (fun d -> dom_line d.Domain.id d.Domain.name (acct t d)) (live_domains t)
   in
   String.concat "\n" ((header :: lines) @ [ Metrics.to_text (Obs.metrics (obs t)) ])
 
 let snapshot_json t =
-  refresh t;
   Printf.sprintf "{\"at\":%d,\"domains\":[%s],\"metrics\":%s}" (Clock.now (clock t))
     (String.concat ","
-       (List.map (fun d -> dom_json d.Domain.id d.Domain.name d.Domain.acct)
+       (List.map (fun d -> dom_json d.Domain.id d.Domain.name (acct t d))
           (live_domains t)))
     (Metrics.to_json (Obs.metrics (obs t)))
 
@@ -107,7 +105,6 @@ let diff_json t =
 (* ---------------- per-domain directory objects ----------------------- *)
 
 let domain_text t (d : Domain.t) =
-  refresh t;
   let m = Obs.metrics (obs t) in
   let mine l = List.filter_map (fun (dom, n, v) -> if dom = d.Domain.id then Some (n, v) else None) l in
   let kv (n, v) = Printf.sprintf "  %s=%d" n v in
@@ -121,11 +118,10 @@ let domain_text t (d : Domain.t) =
       (Metrics.histograms m)
   in
   String.concat "\n"
-    ((dom_line d.Domain.id d.Domain.name d.Domain.acct :: List.map kv counters)
+    ((dom_line d.Domain.id d.Domain.name (acct t d) :: List.map kv counters)
     @ List.map kv gauges @ histos)
 
 let domain_json t (d : Domain.t) =
-  refresh t;
   let m = Obs.metrics (obs t) in
   let mine l = List.filter_map (fun (dom, n, v) -> if dom = d.Domain.id then Some (n, v) else None) l in
   let obj l =
@@ -135,7 +131,7 @@ let domain_json t (d : Domain.t) =
     ^ "}"
   in
   Printf.sprintf "{\"id\":%d,\"name\":\"%s\",\"acct\":%s,\"counters\":%s,\"gauges\":%s}"
-    d.Domain.id (Tracer.json_escape d.Domain.name) (Acct.to_json d.Domain.acct)
+    d.Domain.id (Tracer.json_escape d.Domain.name) (Acct.to_json (acct t d))
     (obj (mine (Metrics.counters m)))
     (obj (mine (Metrics.gauges m)))
 
@@ -150,8 +146,7 @@ let domain_iface t (d : Domain.t) =
   in
   let value_m _ctx = function
     | [ Value.Str name ] ->
-      refresh t;
-      (match Acct.field d.Domain.acct name with
+          (match Acct.field (acct t d) name with
       | Some v -> Ok (Value.Int v)
       | None -> Error (Oerror.Fault (Printf.sprintf "no accounting field %S" name)))
     | _ -> Error (Oerror.Type_error "value(str)")
@@ -264,14 +259,15 @@ let kernel_iface t =
   let flight_m _ctx = function
     (* n <= 0: the whole surviving ring; n > 0: just the last n events *)
     | [ Value.Int n ] ->
-      let fl = Obs.flight (obs t) in
-      if n <= 0 then Ok (Value.Str (Flightrec.to_text fl))
-      else
-        Ok
-          (Value.Str
-             (Printf.sprintf "flight: %d recorded, tail %d\n%s"
-                (Flightrec.recorded fl) n
-                (Flightrec.tail_to_text fl n)))
+      let j = Obs.journal (obs t) in
+      let scope =
+        if n <= 0 then Printf.sprintf "capacity %d" (Journal.tail_capacity j)
+        else Printf.sprintf "tail %d" n
+      in
+      Ok
+        (Value.Str
+           (Printf.sprintf "flight: %d recorded, %s\n%s" (Journal.exec_written j) scope
+              (Journal.tail_exec_to_text j n)))
     | _ -> Error (Oerror.Type_error "flight(int)")
   in
   let publish_m _ctx = function

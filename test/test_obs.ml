@@ -352,6 +352,8 @@ let test_bucket_power_boundaries () =
    with accounting compiled in but disabled — before AND after an enabled
    interval, so the instrumentation leaves no residue. *)
 
+let acct_of obs domain = Acct.of_metrics (Obs.metrics obs) ~domain ~pages:0
+
 let cycles_of clock body =
   let before = Clock.now clock in
   body ();
@@ -372,13 +374,13 @@ let test_accounting_zero_cost_invoke () =
   Obs.enable obs;
   ignore (cycles_of clock (fun () -> for _ = 1 to 50 do call () done));
   Alcotest.(check int) "enabled interval filled the accounting" 50
-    (Acct.slot (Obs.acct obs) 0).Acct.dispatches;
+    (acct_of obs 0).Acct.dispatches;
   Obs.disable obs;
   let off_after = cycles_of clock (fun () -> for _ = 1 to 50 do call () done) in
   Alcotest.(check int) "cost identical after the enabled interval" off_before
     off_after;
   Alcotest.(check int) "disabled interval charged nothing" 50
-    (Acct.slot (Obs.acct obs) 0).Acct.dispatches
+    (acct_of obs 0).Acct.dispatches
 
 let test_accounting_zero_cost_cross_domain () =
   (* E3/E4 shape: user-placed stack, kernel-side packet injection crossing
@@ -408,7 +410,7 @@ let test_accounting_zero_cost_cross_domain () =
   let obs = Clock.obs clock in
   Obs.enable obs;
   ignore (burst ());
-  let kslot = Acct.slot (Obs.acct obs) 0 in
+  let kslot = acct_of obs 0 in
   Alcotest.(check bool) "enabled interval charged crossings" true
     (kslot.Acct.crossings >= 5);
   Alcotest.(check bool) "crossing cycles accumulate" true
@@ -420,30 +422,123 @@ let test_accounting_zero_cost_cross_domain () =
   Alcotest.(check int) "packet cost identical after the enabled interval"
     off_before off_after
 
-(* the domain's accounting slot IS the clock-side slot: one record, two
-   readers *)
-let test_acct_slot_shared () =
+(* /nucleus/trace reset clears the metrics; the accounting read through
+   /stats afterwards must count the calls made since, not freeze at a
+   table the reset dropped *)
+let test_acct_survives_reset () =
   let sys = sys_fixture () in
   let k = System.kernel sys in
-  let udom = System.new_domain sys "tenant" in
-  let slot = Acct.slot (Obs.acct (Clock.obs (Kernel.clock k))) udom.Domain.id in
-  Alcotest.(check bool) "Domain.t.acct aliases the obs table" true
-    (udom.Domain.acct == slot)
+  let kdom = Kernel.kernel_domain k in
+  let ctx = Kernel.ctx k kdom in
+  let trace = Kernel.bind k kdom "/nucleus/trace" in
+  let stats = Kernel.bind k kdom "/stats/kernel" in
+  let traced meth = ignore (Invoke.call_exn ctx trace ~iface:"trace" ~meth []) in
+  let dispatches () =
+    match
+      Invoke.call_exn ctx stats ~iface:"stats.domain" ~meth:"value"
+        [ Value.Str "dispatches" ]
+    with
+    | Value.Int n -> n
+    | v -> Alcotest.failf "value: %s" (Value.to_string v)
+  in
+  traced "start";
+  for _ = 1 to 5 do
+    traced "enabled"
+  done;
+  traced "reset";
+  let before = dispatches () in
+  let n = 50 in
+  for _ = 1 to n do
+    traced "enabled"
+  done;
+  (* the n calls plus the [before] read itself *)
+  Alcotest.(check int) "calls after the reset are counted" (n + 1)
+    (dispatches () - before);
+  traced "stop"
+
+(* the view against a hand fold: random traced events across domains,
+   with random cycle counts and occasional resets, recorded through the
+   shared span bracket (or the scheduler's counter) under the names the
+   instrumentation points use *)
+type acct_op = Ev of string * int * int | Sched of int | Reset
+
+let acct_op_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        ( 8,
+          map3
+            (fun name d c -> Ev (name, d, c))
+            (oneofl [ "invoke.dispatch"; "events.trap"; "events.irq"; "vmem.fault"; "proxy.call" ])
+            (int_bound 3) (int_bound 5_000) );
+        (2, map (fun d -> Sched d) (int_bound 3));
+        (1, pure Reset);
+      ])
+
+let test_acct_view_model =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200 ~name:"view = hand fold"
+       QCheck2.Gen.(list_size (int_bound 60) acct_op_gen)
+       (fun ops ->
+         let clock = Clock.create () in
+         let obs = Clock.obs clock in
+         Obs.enable obs;
+         let book = Cost.default.Cost.mem_write in
+         let zero =
+           { Acct.cycles = 0; dispatches = 0; traps = 0; irqs = 0; faults = 0;
+             crossings = 0; crossing_cycles = 0; sched_runs = 0; pages = 0 }
+         in
+         let model = Array.make 4 zero in
+         let charge d f = model.(d) <- f model.(d) in
+         List.iter
+           (function
+             | Ev (name, d, c) ->
+               Clock.span clock ~costs:Cost.default ~domain:d ~obj:"o" ~iface:"i" ~meth:"m"
+                 ~sample:name (fun () -> Clock.advance clock c);
+               let c = c + book in
+               charge d (fun (a : Acct.t) ->
+                   let a = { a with Acct.cycles = a.Acct.cycles + c } in
+                   match name with
+                   | "invoke.dispatch" -> { a with Acct.dispatches = a.Acct.dispatches + 1 }
+                   | "events.trap" -> { a with Acct.traps = a.Acct.traps + 1 }
+                   | "events.irq" -> { a with Acct.irqs = a.Acct.irqs + 1 }
+                   | "vmem.fault" -> { a with Acct.faults = a.Acct.faults + 1 }
+                   | _ ->
+                     { a with
+                       Acct.crossings = a.Acct.crossings + 1;
+                       crossing_cycles = a.Acct.crossing_cycles + c })
+             | Sched d ->
+               Obs.incr obs ~domain:d "sched.runs";
+               charge d (fun a -> { a with Acct.sched_runs = a.Acct.sched_runs + 1 })
+             | Reset ->
+               Obs.reset obs;
+               Array.fill model 0 4 zero)
+           ops;
+         List.for_all
+           (fun d ->
+             let view = Acct.of_metrics (Obs.metrics obs) ~domain:d ~pages:7 in
+             let expect = { (model.(d)) with Acct.pages = 7 } in
+             view = expect
+             || QCheck2.Test.fail_reportf "domain %d: view %s, model %s" d
+                  (Acct.line view) (Acct.line expect))
+           [ 0; 1; 2; 3 ]))
 
 (* --- flight recorder ---------------------------------------------------- *)
 
 let test_flightrec_ring () =
-  let f = Flightrec.create ~capacity:4 () in
+  let j = Journal.create ~tail_capacity:4 () in
   for n = 1 to 10 do
-    Flightrec.record f ~kind:Flightrec.Trap ~domain:0 ~at:(n * 10) ~info:n
+    Journal.record j ~kind:Journal.Trap ~domain:0 ~at:(n * 10) ~info:n ~detail:""
   done;
-  Alcotest.(check int) "recorded counts everything" 10 (Flightrec.recorded f);
-  let evs = Flightrec.events f in
+  Alcotest.(check int) "recorded counts everything" 10 (Journal.exec_written j);
+  let evs = Journal.tail_exec j in
   Alcotest.(check int) "only capacity survive" 4 (List.length evs);
   Alcotest.(check (list int)) "oldest-first survivors" [ 7; 8; 9; 10 ]
-    (List.map (fun e -> e.Flightrec.info) evs);
-  Flightrec.reset f;
-  Alcotest.(check int) "reset empties" 0 (List.length (Flightrec.events f))
+    (List.map (fun e -> e.Journal.info) evs);
+  Alcotest.(check int) "a positive n trims the dump" 2
+    (List.length (String.split_on_char '\n' (Journal.tail_exec_to_text j 2)));
+  Journal.reset j;
+  Alcotest.(check int) "reset empties" 0 (List.length (Journal.tail_exec j))
 
 let test_flightrec_always_on () =
   (* the black box records with tracing OFF — that is its whole point *)
@@ -451,8 +546,9 @@ let test_flightrec_always_on () =
   let k = System.kernel sys in
   ignore (System.setup_networking sys ~placement:System.Certified ~addr:42 ());
   let obs = Clock.obs (Kernel.clock k) in
+  let j = Obs.journal obs in
   Alcotest.(check bool) "tracing disabled" false (Obs.enabled obs);
-  let before = Flightrec.recorded (Obs.flight obs) in
+  let before = Journal.exec_written j in
   let ctx = Kernel.ctx k (Kernel.kernel_domain k) in
   let payload = Bytes.of_string (String.make 32 'x') in
   let tp = Wire.Transport.build ctx ~sport:9 ~dport:7 payload in
@@ -460,44 +556,37 @@ let test_flightrec_always_on () =
   let packet = Bytes.to_string (Wire.Frame.build ctx ~dst:42 ~src:13 np) in
   Nic.inject (Kernel.nic k) packet;
   Kernel.step k ~ticks:2 ();
-  let evs = Flightrec.events (Obs.flight obs) in
   Alcotest.(check bool) "events recorded while disabled" true
-    (Flightrec.recorded (Obs.flight obs) > before);
+    (Journal.exec_written j > before);
   Alcotest.(check bool) "an interrupt is among them" true
-    (List.exists (fun e -> e.Flightrec.kind = Flightrec.Irq) evs)
+    (List.exists (fun e -> e.Journal.kind = Journal.Irq) (Journal.tail_exec j))
 
-(* the black-box dump ships off-system as JSON and reads back verbatim,
-   extreme integers included *)
-let test_flightrec_json_roundtrip () =
-  let f = Flightrec.create ~capacity:8 () in
+(* the black-box dump ships off-system through the journal's strict
+   export and reads back verbatim, extreme integers included *)
+let test_flightrec_export_roundtrip () =
+  let j = Journal.create ~tail_capacity:8 () in
+  Journal.set_mode j Journal.Full;
   List.iteri
     (fun i (kind, info) ->
-      Flightrec.record f ~kind ~domain:(i - 1) ~at:(i * 1_000) ~info)
+      Journal.record j ~kind ~domain:(i - 1) ~at:(i * 1_000) ~info ~detail:"")
     [
-      (Flightrec.Trap, 0); (Flightrec.Irq, max_int); (Flightrec.Fault, min_int);
-      (Flightrec.Crossing, -1); (Flightrec.Sched, 42);
+      (Journal.Trap, 0); (Journal.Irq, max_int); (Journal.Fault, min_int);
+      (Journal.Crossing, -1); (Journal.Sched, 42); (Journal.Check, 3);
     ];
-  (match Flightrec.of_json (Flightrec.to_json f) with
+  (match Journal.import (Journal.export j) with
   | Error e -> Alcotest.fail e
-  | Ok (recorded, capacity, events) ->
-    Alcotest.(check int) "recorded survives" (Flightrec.recorded f) recorded;
-    Alcotest.(check int) "capacity survives" (Flightrec.capacity f) capacity;
-    let orig = Flightrec.events f in
+  | Ok events ->
+    let orig = Journal.tail_exec j in
     Alcotest.(check int) "every event came back" (List.length orig)
       (List.length events);
     List.iter2
       (fun a b ->
         Alcotest.(check bool)
-          (Printf.sprintf "event %d round-trips" a.Flightrec.seq)
-          true
-          (a.Flightrec.seq = b.Flightrec.seq
-          && a.Flightrec.at = b.Flightrec.at
-          && a.Flightrec.domain = b.Flightrec.domain
-          && a.Flightrec.kind = b.Flightrec.kind
-          && a.Flightrec.info = b.Flightrec.info))
+          (Printf.sprintf "event %d round-trips" a.Journal.seq)
+          true (Journal.event_equal a b))
       orig events);
   (* malformed input is rejected, not misparsed *)
-  match Flightrec.of_json "{\"recorded\":}" with
+  match Journal.import "pm-journal-v1 events=1 complete=1\n(garbage" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "parsed garbage"
 
@@ -606,7 +695,6 @@ let test_stats_interposable () =
 let test_placer_hysteresis () =
   let clock = Clock.create () in
   let obs = Clock.obs clock in
-  let acct = Obs.acct obs in
   let placer = Placer.create ~clock ~costs:Cost.default ~confirm:2 ~cooldown:1 () in
   let migrated = ref [] in
   Placer.manage placer ~watch:[ 1 ] ~placement:Placer.User
@@ -616,9 +704,9 @@ let test_placer_hysteresis () =
     ();
   let epoch_with ~cross ~faults =
     Clock.advance clock 1_000;
-    if cross > 0 then Acct.crossing acct ~domain:1 cross;
+    if cross > 0 then Obs.observe obs ~domain:1 "proxy.call" cross;
     for _ = 1 to faults do
-      Acct.fault acct ~domain:1 0
+      Obs.observe obs ~domain:1 "vmem.fault" 0
     done;
     Placer.epoch placer
   in
@@ -653,7 +741,6 @@ let test_placer_hysteresis () =
 let test_placer_multi_component () =
   let clock = Clock.create () in
   let obs = Clock.obs clock in
-  let acct = Obs.acct obs in
   let placer = Placer.create ~clock ~costs:Cost.default ~confirm:2 ~cooldown:1 () in
   let moved_a = ref [] and moved_b = ref [] in
   Placer.manage placer ~watch:[ 1 ] ~placement:Placer.User
@@ -669,8 +756,8 @@ let test_placer_multi_component () =
   Alcotest.(check int) "two components" 2 (List.length (Placer.placements placer));
   let epoch_with ~cross1 ~cross2 =
     Clock.advance clock 1_000;
-    if cross1 > 0 then Acct.crossing acct ~domain:1 cross1;
-    if cross2 > 0 then Acct.crossing acct ~domain:2 cross2;
+    if cross1 > 0 then Obs.observe obs ~domain:1 "proxy.call" cross1;
+    if cross2 > 0 then Obs.observe obs ~domain:2 "proxy.call" cross2;
     Placer.epoch placer
   in
   (* only component B runs hot: A must hold while B confirms and moves —
@@ -698,7 +785,7 @@ let test_placer_multi_component () =
    back to the certificate path *)
 let test_placer_verified_fallback () =
   let clock = Clock.create () in
-  let acct = Obs.acct (Clock.obs clock) in
+  let obs = Clock.obs clock in
   let placer = Placer.create ~clock ~costs:Cost.default ~confirm:1 ~cooldown:0 () in
   let attempts = ref [] in
   Placer.manage placer ~watch:[ 1 ] ~placement:Placer.User ~verified_ok:true
@@ -707,7 +794,7 @@ let test_placer_verified_fallback () =
       p = Placer.Certified)
     ();
   Clock.advance clock 1_000;
-  Acct.crossing acct ~domain:1 500;
+  Obs.observe obs ~domain:1 "proxy.call" 500;
   (match Placer.epoch placer with
   | [ Placer.Migrated Placer.Certified ] -> ()
   | _ -> Alcotest.fail "expected fallback migration to Certified");
@@ -720,7 +807,7 @@ let test_placer_verified_fallback () =
    projected steady-state saving cannot cover it *)
 let test_placer_payback_deferral () =
   let clock = Clock.create () in
-  let acct = Obs.acct (Clock.obs clock) in
+  let obs = Clock.obs clock in
   let placer =
     Placer.create ~clock ~costs:Cost.default ~confirm:1 ~cooldown:0
       ~payback_window:2 ()
@@ -733,7 +820,7 @@ let test_placer_payback_deferral () =
     ();
   let epoch_with cross =
     Clock.advance clock 1_000;
-    if cross > 0 then Acct.crossing acct ~domain:1 cross;
+    if cross > 0 then Obs.observe obs ~domain:1 "proxy.call" cross;
     Placer.epoch placer
   in
   (* hot by share (0.5 >= 0.2), but 2 epochs x 500 cycles saved never
@@ -756,7 +843,6 @@ let test_placer_payback_deferral () =
 let test_placer_move_cost_learning () =
   let clock = Clock.create () in
   let obs = Clock.obs clock in
-  let acct = Obs.acct obs in
   let placer = Placer.create ~clock ~costs:Cost.default ~confirm:1 ~cooldown:0 () in
   let latency = ref 10_000 in
   Placer.manage placer ~watch:[ 1 ] ~placement:Placer.User ~move_cost:500
@@ -768,9 +854,9 @@ let test_placer_move_cost_learning () =
     (Placer.move_costs placer);
   let epoch_with ~cross ~faults =
     Clock.advance clock 1_000;
-    if cross > 0 then Acct.crossing acct ~domain:1 cross;
+    if cross > 0 then Obs.observe obs ~domain:1 "proxy.call" cross;
     for _ = 1 to faults do
-      Acct.fault acct ~domain:1 0
+      Obs.observe obs ~domain:1 "vmem.fault" 0
     done;
     Placer.epoch placer
   in
@@ -859,15 +945,16 @@ let () =
             test_accounting_zero_cost_invoke;
           Alcotest.test_case "zero-cost cross-domain (E3/E4 shape)" `Quick
             test_accounting_zero_cost_cross_domain;
-          Alcotest.test_case "domain slot shared with obs" `Quick
-            test_acct_slot_shared;
+          Alcotest.test_case "counts calls after a trace reset" `Quick
+            test_acct_survives_reset;
+          test_acct_view_model;
         ] );
       ( "flight-recorder",
         [
           Alcotest.test_case "fixed-capacity ring" `Quick test_flightrec_ring;
           Alcotest.test_case "always on" `Quick test_flightrec_always_on;
-          Alcotest.test_case "json round-trip" `Quick
-            test_flightrec_json_roundtrip;
+          Alcotest.test_case "export round-trip" `Quick
+            test_flightrec_export_roundtrip;
         ] );
       ( "stats-namespace",
         [
