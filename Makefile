@@ -17,12 +17,15 @@ bench-smoke:
 
 # the channel-backed data path exercised through the demo binary, the
 # /stats snapshot and flight dump, the span tree, and the whole-system
-# KV workload on top of it
+# KV workload on top of it; the last two drive the kernel's step loop
+# on more than one CPU
 demo-smoke:
 	dune exec bin/paramecium_demo.exe -- packets --net-chan -n 10
 	dune exec bin/paramecium_demo.exe -- packets --stats -n 10
 	dune exec bin/paramecium_demo.exe -- packets --trace -n 10
 	dune exec bin/paramecium_demo.exe -- kv -n 4
+	dune exec bin/paramecium_demo.exe -- kv -n 4 --cpus 2
+	dune exec bin/paramecium_demo.exe -- packets --net-chan -n 10 --cpus 4
 
 # record/replay determinism: every scenario self-checks, and a recording
 # written to disk replays byte-identically after a round-trip

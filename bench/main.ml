@@ -464,7 +464,7 @@ module E6 = struct
       (* release any blocked handler and let it finish *)
       while Scheduler.live sched > 0 do
         if Sync.Semaphore.value sem = 0 then Sync.Semaphore.release sem;
-        ignore (Scheduler.run sched ())
+        ignore (Scheduler.run sched)
       done
     done;
     assert (!handled = events);
@@ -1657,7 +1657,7 @@ module E16 = struct
           let sys = System.create ~seed:0xBEEF ~cpus:2 () in
           let k = System.kernel sys in
           let machine = Kernel.machine k in
-          let cpx = Option.get (System.cpu sys) in
+          let cpx = Kernel.cpu k in
           let kdom = Kernel.kernel_domain k in
           let g =
             Mpsc.create machine (Kernel.vmem k) ~name:"smp-tx" ~slots:8
@@ -2523,38 +2523,23 @@ module E23 = struct
     let sys = System.create ~seed:0xBEEF ~cpus () in
     let k = System.kernel sys in
     let machine = Kernel.machine k in
-    match System.smp sys with
-    | None ->
-      (* uniprocessor: the same flows, time-sliced on the boot scheduler *)
-      let sched = Kernel.sched k in
-      List.iter
-        (fun f ->
-          let _, _, chan = make_flow sys k f in
-          ignore
-            (Scheduler.spawn sched ~name:(Printf.sprintf "flow%d" f)
-               (flow_body machine chan (msgs ()))))
-        (List.init flows Fun.id);
-      let before = Clock.now (Kernel.clock k) in
-      ignore (Scheduler.run sched ());
-      Clock.now (Kernel.clock k) - before
-    | Some smp ->
-      let cpx = Option.get (System.cpu sys) in
-      List.iter
-        (fun f ->
-          let pdom, cdom, chan = make_flow sys k f in
-          let cpu = f mod cpus in
-          Cpu.pin cpx ~domain:pdom.Domain.id ~cpu;
-          Cpu.pin cpx ~domain:cdom.Domain.id ~cpu;
-          ignore
-            (Smp.spawn_on smp cpu ~name:(Printf.sprintf "flow%d" f)
-               (flow_body machine chan (msgs ()))))
-        (List.init flows Fun.id);
-      let before = List.init cpus (fun c -> Cpu.now cpx c) in
-      (* steal:false — the curve isolates partitioning; stealing gets
-         its own segment below *)
-      ignore (Smp.run ~steal:false smp);
-      List.fold_left max 0
-        (List.mapi (fun c b -> Cpu.now cpx c - b) before)
+    let smp = Kernel.smp k and cpx = Kernel.cpu k in
+    List.iter
+      (fun f ->
+        let pdom, cdom, chan = make_flow sys k f in
+        let cpu = f mod cpus in
+        Cpu.pin cpx ~domain:pdom.Domain.id ~cpu;
+        Cpu.pin cpx ~domain:cdom.Domain.id ~cpu;
+        ignore
+          (Smp.spawn_on smp cpu ~name:(Printf.sprintf "flow%d" f)
+             (flow_body machine chan (msgs ()))))
+      (List.init flows Fun.id);
+    let before = List.init cpus (fun c -> Cpu.now cpx c) in
+    (* steal:false — the curve isolates partitioning; stealing gets
+       its own segment below *)
+    ignore (Smp.run ~steal:false smp);
+    List.fold_left max 0
+      (List.mapi (fun c b -> Cpu.now cpx c - b) before)
 
   (* The same per-message model the channels charge: crossing CPUs costs
      [lines] cache-line transfers on the send and again on the recv. *)
@@ -2562,7 +2547,7 @@ module E23 = struct
     let sys = System.create ~seed:0xBEEF ~cpus:2 () in
     let k = System.kernel sys in
     let machine = Kernel.machine k in
-    let cpx = Option.get (System.cpu sys) in
+    let cpx = Kernel.cpu k in
     let pdom = System.new_domain sys "gap-p" in
     let cdom = System.new_domain sys "gap-c" in
     let chan =
@@ -2602,8 +2587,7 @@ module E23 = struct
     let sys = System.create ~seed:0xBEEF ~cpus:4 () in
     let k = System.kernel sys in
     let machine = Kernel.machine k in
-    let smp = Option.get (System.smp sys) in
-    let cpx = Option.get (System.cpu sys) in
+    let smp = Kernel.smp k and cpx = Kernel.cpu k in
     List.iter
       (fun f ->
         let _, _, chan = make_flow sys k f in

@@ -55,14 +55,14 @@ let seed_spsc sys =
   ignore (Chan.try_send chan (Bytes.of_string "two"));
   Mmu.switch_context mmu home
 
-(* Grow an SMP complex under the booted system, then pin a hand-wired
-   ring's producer and consumer to different CPUs without turning its
-   cache-line pricing on — the unaccounted coherence traffic the
-   cross-cpu rule exists to catch. *)
+(* On the 2-CPU demo system, pin a hand-wired ring's producer and
+   consumer to different CPUs without turning its cache-line pricing
+   on — the unaccounted coherence traffic the cross-cpu rule exists to
+   catch. *)
 let seed_cross_cpu sys =
   let k = System.kernel sys in
   let machine = Kernel.machine k in
-  let cpx = Cpu.create machine ~cpus:2 in
+  let cpx = Kernel.cpu k in
   let kdom = Kernel.kernel_domain k in
   let udom = System.new_domain sys "far-consumer" in
   let chan =
@@ -96,8 +96,8 @@ let seed_store_dangling sys =
 (* The demo composition: networking in the kernel, a monitoring
    interposer on the driver (a proper superset, so attach admits it),
    and the driver->stack receive path over a shared-memory channel. *)
-let build_demo () =
-  let sys = System.create () in
+let build_demo ~cpus =
+  let sys = System.create ~cpus () in
   let k = System.kernel sys in
   let net =
     System.setup_networking sys ~placement:System.Certified ~addr:42
@@ -133,7 +133,9 @@ let () =
       exit 2
   in
   parse (List.tl (Array.to_list Sys.argv));
-  let sys = build_demo () in
+  (* the cross-cpu seed needs a second CPU; every other run is the
+     uniprocessor demo *)
+  let sys = build_demo ~cpus:(if !seed = Some "cross-cpu" then 2 else 1) in
   (match !seed with
   | None -> ()
   | Some "non-superset" -> seed_non_superset sys

@@ -255,28 +255,23 @@ let set_cacheline_priced t v = t.cl_priced <- v
 (* Cross-CPU traffic                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* The SMP complex over this channel's machine, when endpoints are
-   pinned to different CPUs — the condition under which ring traffic
-   physically moves cache lines between cores. *)
-let cross_complex t =
-  match (Cpu.find ~machine:t.machine, t.consumer) with
-  | Some cpx, Some c when Cpu.cross cpx ~a:t.producer.Domain.id ~b:c.Domain.id ->
-    Some (cpx, c)
-  | _ -> None
-
-let is_cross_cpu t = cross_complex t <> None
+(* The endpoints are pinned to different CPUs — the condition under
+   which ring traffic physically moves cache lines between cores. *)
+let is_cross_cpu t =
+  match t.consumer with
+  | Some c ->
+    Cpu.cross (Cpu.of_machine t.machine) ~a:t.producer.Domain.id ~b:c.Domain.id
+  | None -> false
 
 (* One side's cache-line bill for moving [len] payload bytes across
    CPUs; charged on the executing (missing) side's clock. Only when the
    channel is priced — the linter flags cross-CPU rings that are not. *)
 let charge_cachelines t len =
-  if t.cl_priced then
-    match cross_complex t with
-    | None -> ()
-    | Some _ ->
-      let clock = Machine.clock t.machine in
-      Clock.advance clock (lines_of_msg len * (Machine.costs t.machine).Cost.cacheline);
-      Clock.count clock "chan_cacheline"
+  if t.cl_priced && is_cross_cpu t then begin
+    let clock = Machine.clock t.machine in
+    Clock.advance clock (lines_of_msg len * (Machine.costs t.machine).Cost.cacheline);
+    Clock.count clock "chan_cacheline"
+  end
 
 let domains_of_waitq q =
   Sync.Waitq.waiters q
@@ -303,11 +298,12 @@ let ring_doorbell t =
       (* a doorbell for a consumer pinned on another CPU is physically an
          IPI: the sender pays the bus signal, the target reconciles,
          wakes if halted, and the trap runs on the target's clock *)
-      match cross_complex t with
-      | Some (cpx, c) ->
+      match t.consumer with
+      | Some c when is_cross_cpu t ->
+        let cpx = Cpu.of_machine t.machine in
         Cpu.ipi cpx ~cpu:(Cpu.cpu_of cpx ~domain:c.Domain.id) t.doorbell_vec
           t.chan_id
-      | None -> ignore (Machine.raise_trap t.machine t.doorbell_vec t.chan_id))
+      | _ -> ignore (Machine.raise_trap t.machine t.doorbell_vec t.chan_id))
 
 let on_doorbell t ~events ~sched ?priority f =
   let consumer =

@@ -189,14 +189,13 @@ let ring_doorbell t tx =
       t.doorbells <- t.doorbells + 1;
       Clock.count (Machine.clock t.machine) "mpsc_doorbell";
       (* cross-CPU group doorbells are IPIs, same as SPSC ones *)
-      match Cpu.find ~machine:t.machine with
-      | Some cpx
-        when Cpu.cross cpx ~a:(Chan.producer tx.sub).Domain.id
-               ~b:t.consumer.Domain.id ->
+      let cpx = Cpu.of_machine t.machine in
+      if Cpu.cross cpx ~a:(Chan.producer tx.sub).Domain.id ~b:t.consumer.Domain.id
+      then
         Cpu.ipi cpx
           ~cpu:(Cpu.cpu_of cpx ~domain:t.consumer.Domain.id)
           t.doorbell_vec t.group_id
-      | _ -> ignore (Machine.raise_trap t.machine t.doorbell_vec t.group_id))
+      else ignore (Machine.raise_trap t.machine t.doorbell_vec t.group_id))
 
 let on_doorbell t ~events ~sched ?priority f =
   Events.register events (Events.Trap t.doorbell_vec) ~domain:t.consumer (fun arg ->
@@ -214,25 +213,23 @@ let on_doorbell t ~events ~sched ?priority f =
    *other* producer that is concurrently active — its sub-ring non-empty
    and its domain pinned to a different CPU than the reserver — is
    hammering the same line, and each costs the reserver one CAS retry.
-   On a uniprocessor this is always zero: time-sliced producers never
-   overlap a reserve, so the flat [mpsc_reserve] figure stands. *)
+   On one CPU this is always zero: time-sliced producers never overlap
+   a reserve, so the flat [mpsc_reserve] figure stands. *)
 let contenders t tx =
-  match Cpu.find ~machine:t.machine with
-  | None -> 0
-  | Some cpx ->
-    if Cpu.count cpx <= 1 then 0
-    else begin
-      let me = (Chan.producer tx.sub).Domain.id in
-      let n = ref 0 in
-      Array.iteri
-        (fun i r ->
-          if
-            i <> tx.idx && Chan.pending r > 0
-            && Cpu.cross cpx ~a:me ~b:(Chan.producer r).Domain.id
-          then incr n)
-        t.rings;
-      !n
-    end
+  let cpx = Cpu.of_machine t.machine in
+  if Cpu.count cpx <= 1 then 0
+  else begin
+    let me = (Chan.producer tx.sub).Domain.id in
+    let n = ref 0 in
+    Array.iteri
+      (fun i r ->
+        if
+          i <> tx.idx && Chan.pending r > 0
+          && Cpu.cross cpx ~a:me ~b:(Chan.producer r).Domain.id
+        then incr n)
+      t.rings;
+    !n
+  end
 
 (* The reserve: publish the sub-ring's dirty hint and read the shared
    armed flag — the extra shared-word traffic a multi-producer enqueue

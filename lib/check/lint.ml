@@ -169,7 +169,7 @@ let check_spsc ~machine =
 (* Rule: cross-CPU rings without cache-line pricing                    *)
 (* ------------------------------------------------------------------ *)
 
-(* On an SMP complex, a ring whose producer and consumer are pinned to
+(* On a multiprocessor, a ring whose producer and consumer are pinned to
    different CPUs moves every message through the coherence fabric —
    the cost model only sees that when the ring's cache-line pricing
    flag is on ([Chan.set_cacheline_priced]). An unpriced cross-CPU
@@ -177,8 +177,7 @@ let check_spsc ~machine =
    cross, the cycles are never charged. The paths that pin endpoints
    apart (Mpsc.attach, Netstack_chan ports, Storechan) price their
    rings at accept time, so a finding here means a hand-wired ring
-   dodged that. No-op without a complex — never fires on uniprocessor
-   systems. *)
+   dodged that. Never fires on one CPU, where no ring is cross-CPU. *)
 let check_cross_cpu ~machine =
   let findings = ref [] in
   Chan.iter_all ~machine (fun c ->

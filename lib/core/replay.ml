@@ -104,7 +104,7 @@ let run_crash sys =
   ignore
     (Scheduler.spawn sched ~name:"survivor" ~domain:kdom.Domain.id (fun () ->
          Scheduler.yield ()));
-  ignore (Scheduler.run sched ())
+  ignore (Scheduler.run sched)
 
 let run_deadlock sys =
   let k = System.kernel sys in
@@ -127,7 +127,7 @@ let run_deadlock sys =
   ignore
     (Scheduler.spawn sched ~name:"b" ~domain:udom.Domain.id (fun () ->
          ignore (Chan.recv chan_ab)));
-  ignore (Scheduler.run sched ())
+  ignore (Scheduler.run sched)
 
 (* the whole-system workload: KV requests over the loopback NIC through
    the channel-backed net path, backed by the partition→cache→log stack

@@ -136,8 +136,8 @@ let api t = Kernel.api t.kernel
 let clock t = Kernel.clock t.kernel
 let stats t = t.stats
 let check t = t.check
-let cpu t = Kernel.cpu t.kernel
-let smp t = Kernel.smp t.kernel
+let cpu t = Some (Kernel.cpu t.kernel)
+let smp t = Some (Kernel.smp t.kernel)
 let cpus t = Kernel.cpus t.kernel
 
 let install t image ~placement ~at =

@@ -1,4 +1,5 @@
-(* Pm_cpu: the SMP complex — N logical CPUs over one simulated machine.
+(* Cpu: the machine's CPUs — N logical processors over one simulated
+   machine, N = 1 for a uniprocessor.
 
    Each CPU owns a virtual clock; all clocks share the machine's one
    observability sink, so spans, accounting and the journal stay a
@@ -15,10 +16,9 @@
    clock forward to at least the issuing CPU's time ([sync_to], built on
    {!Clock.advance_to} — never backward). Because reconciliation only
    ever pulls clocks forward and the interleaving below is a fixed
-   round-robin, results are deterministic. A complex with one CPU has no
-   cross-CPU interactions, performs no reconciliation and never moves
-   the active clock, so 1-CPU runs are byte-identical to a machine with
-   no complex at all.
+   round-robin, results are deterministic. One CPU is the same model
+   with nothing to cross: no domain is ever on another CPU, so nothing
+   reconciles and the active clock never moves.
 
    An inter-processor interrupt is just a trap sourced from another CPU:
    the sender pays {!Cost.t.ipi} for the bus signalling on its own
@@ -26,51 +26,25 @@
    executes the trap through the ordinary event path on its own clock
    (paying its normal trap entry there). *)
 
-type cpu = {
+(* The records are the machine's own (they die with it); this module is
+   every operation on them. *)
+type cpu = Machine.cpu = {
   id : int;
   clock : Clock.t;
   mutable halted : bool;
   mutable ipis_sent : int;
   mutable ipis_recv : int;
-  mutable synced : int; (* idle cycles absorbed by reconciliation *)
+  mutable synced : int;
 }
 
-type t = {
+type t = Machine.complex = {
   machine : Machine.t;
   cpus : cpu array;
   mutable cur : int;
-  pins : (int, int) Hashtbl.t; (* domain id -> cpu id; unpinned = 0 *)
+  pins : (int, int) Hashtbl.t;
 }
 
-(* Every live complex, for subsystems that only hold the machine (Chan,
-   the linter, the placer) — the same registry idiom as Chan.iter_all,
-   keyed on physical machine identity so concurrent test systems stay
-   independent. *)
-let complexes : t list ref = ref []
-
-let find ~machine =
-  List.find_opt (fun c -> c.machine == machine) !complexes
-
-let create machine ~cpus:n =
-  if n <= 0 then invalid_arg "Cpu.create: cpus must be positive";
-  (match find ~machine with
-  | Some _ -> invalid_arg "Cpu.create: machine already has an SMP complex"
-  | None -> ());
-  let boot = Machine.boot_clock machine in
-  let obs = Clock.obs boot in
-  let cpus =
-    Array.init n (fun i ->
-        let clock = if i = 0 then boot else Clock.create ~obs () in
-        (* CPUs power on together: secondary clocks start at CPU 0's
-           current time, not at zero *)
-        if i > 0 then ignore (Clock.advance_to clock (Clock.now boot));
-        { id = i; clock; halted = false; ipis_sent = 0; ipis_recv = 0;
-          synced = 0 })
-  in
-  let t = { machine; cpus; cur = 0; pins = Hashtbl.create 16 } in
-  complexes := t :: !complexes;
-  t
-
+let of_machine = Machine.complex
 let count t = Array.length t.cpus
 let machine t = t.machine
 
@@ -100,11 +74,13 @@ let pin t ~domain ~cpu =
 let cpu_of t ~domain =
   match Hashtbl.find_opt t.pins domain with Some c -> c | None -> 0
 
-let cross t ~a ~b = cpu_of t ~domain:a <> cpu_of t ~domain:b
+(* one CPU crosses nothing, and needs no pin lookup to say so *)
+let cross t ~a ~b =
+  Array.length t.cpus > 1 && cpu_of t ~domain:a <> cpu_of t ~domain:b
 
 (* The honest price of shared-word traffic between two domains: one
    cache-line transfer when they sit on different CPUs, free otherwise
-   (and on every uniprocessor complex, where [cpu_of] is always 0). *)
+   (always, on one CPU). *)
 let cacheline_penalty t ~from_dom ~to_dom =
   if cross t ~a:from_dom ~b:to_dom then (Machine.costs t.machine).Cost.cacheline
   else 0

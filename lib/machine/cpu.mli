@@ -1,4 +1,5 @@
-(** The SMP complex: N logical CPUs over one simulated {!Machine}.
+(** The machine's CPUs: N logical processors over one simulated
+    {!Machine}, N = 1 for a uniprocessor.
 
     Each CPU owns a {!Clock} sharing the machine's observability sink.
     Per-CPU clocks advance independently while CPUs compute on private
@@ -9,23 +10,16 @@
     {!run_on}; work run inside charges that CPU's clock because every
     charge site reads {!Machine.clock} at charge time.
 
-    A 1-CPU complex has no cross-CPU interactions and never moves the
-    active clock, so its runs are byte-identical to a machine with no
-    complex at all — the backward-compatibility contract every existing
-    experiment relies on. *)
+    A uniprocessor is the same model at N = 1: no two domains are ever
+    on different CPUs, so nothing reconciles, no IPI is sent, and the
+    active clock never moves. *)
 
 type t
 
-(** [create machine ~cpus] builds the complex. CPU 0 adopts the
-    machine's boot clock (so pre-existing charges belong to it);
-    secondary clocks start at CPU 0's current time. At most one complex
-    per machine; [cpus] must be positive. *)
-val create : Machine.t -> cpus:int -> t
-
-(** The complex attached to [machine], if any — for subsystems that only
-    hold the machine (channels, the linter, the placer). Keyed on
-    physical machine identity. *)
-val find : machine:Machine.t -> t option
+(** [of_machine machine] is the machine's complex. Every machine has
+    exactly one, built by {!Machine.create} ([?cpus]) and owned by the
+    machine. *)
+val of_machine : Machine.t -> t
 
 val count : t -> int
 val machine : t -> Machine.t
@@ -50,7 +44,7 @@ val cross : t -> a:int -> b:int -> bool
 
 (** [cacheline_penalty t ~from_dom ~to_dom] is {!Cost.t.cacheline} when
     the two domains sit on different CPUs, 0 otherwise (hence always 0
-    on a uniprocessor complex). *)
+    on one CPU). *)
 val cacheline_penalty : t -> from_dom:int -> to_dom:int -> int
 
 (** {2 Execution} *)

@@ -6,13 +6,23 @@ let irq_line_count = 16
 
 type attached = { dev : Device.t; io_base : int }
 
+(* One processor of the machine. The record lives here, beside the
+   machine that owns it; every operation on it is {!Cpu}'s. *)
+type cpu = {
+  id : int;
+  clock : Clock.t;
+  mutable halted : bool;
+  mutable ipis_sent : int;
+  mutable ipis_recv : int;
+  mutable synced : int; (* idle cycles absorbed by reconciliation *)
+}
+
 type t = {
-  boot_clock : Clock.t; (* CPU 0's clock, the whole machine's on 1 CPU *)
+  complex : complex;
   mutable active_clock : Clock.t;
       (* the clock of the CPU currently executing; every charge site
-         reads it through [clock] at charge time, so an SMP complex
-         redirects all accounting by swapping this one field. Identical
-         to [boot_clock] until a Cpu complex with >1 CPUs switches. *)
+         reads it through [clock] at charge time, so the complex
+         redirects all accounting by swapping this one field *)
   costs : Cost.t;
   phys : Physmem.t;
   mmu : Mmu.t;
@@ -23,25 +33,40 @@ type t = {
   mutable next_io_base : int;
 }
 
+and complex = {
+  machine : t;
+  cpus : cpu array;
+  mutable cur : int;
+  pins : (int, int) Hashtbl.t; (* domain id -> cpu id; unpinned = 0 *)
+}
+
 let io_base_start = 0x1000_0000
 
-let create ?(costs = Cost.default) ?(frames = 1024) ?(page_size = 4096) () =
-  let clock = Clock.create () in
-  {
-    boot_clock = clock;
-    active_clock = clock;
-    costs;
-    phys = Physmem.create ~frames ~page_size;
-    mmu = Mmu.create clock costs ~page_size;
-    traps = Array.make trap_vector_count None;
-    irqs = Array.make irq_line_count None;
-    fault_handler = None;
-    attached = [];
-    next_io_base = io_base_start;
-  }
+let create ?(costs = Cost.default) ?(frames = 1024) ?(page_size = 4096) ?(cpus = 1)
+    () =
+  if cpus <= 0 then invalid_arg "Machine.create: cpus must be positive";
+  let boot = Clock.create () in
+  let obs = Clock.obs boot in
+  (* the CPUs power on together, every clock at zero, all feeding the
+     one observability sink *)
+  let cpus =
+    Array.init cpus (fun id ->
+        { id; clock = (if id = 0 then boot else Clock.create ~obs ());
+          halted = false; ipis_sent = 0; ipis_recv = 0; synced = 0 })
+  in
+  let phys = Physmem.create ~frames ~page_size in
+  let mmu = Mmu.create boot costs ~page_size in
+  let traps = Array.make trap_vector_count None in
+  let irqs = Array.make irq_line_count None in
+  let pins = Hashtbl.create 16 in
+  let rec t =
+    { complex; active_clock = boot; costs; phys; mmu; traps; irqs;
+      fault_handler = None; attached = []; next_io_base = io_base_start }
+  and complex = { machine = t; cpus; cur = 0; pins } in
+  t
 
 let clock t = t.active_clock
-let boot_clock t = t.boot_clock
+let complex t = t.complex
 
 let set_active_clock t clock =
   t.active_clock <- clock;

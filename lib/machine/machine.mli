@@ -1,11 +1,33 @@
-(** The simulated machine: physical memory, MMU, trap/interrupt vectors,
-    an I/O register space with attached devices, and the cycle clock.
+(** The simulated machine: its CPUs, physical memory, MMU,
+    trap/interrupt vectors, an I/O register space with attached devices,
+    and a cycle clock per CPU.
 
     This is the hardware Paramecium's nucleus runs on. The nucleus is the
     only code expected to install vector handlers and the fault handler;
     everything else goes through the nucleus services. *)
 
 type t
+
+(** One processor: its clock and what {!Cpu} records about it. *)
+type cpu = {
+  id : int;
+  clock : Clock.t;
+  mutable halted : bool;
+  mutable ipis_sent : int;
+  mutable ipis_recv : int;
+  mutable synced : int;  (** idle cycles absorbed by reconciliation *)
+}
+
+(** The machine's CPUs — one for a uniprocessor — with the one that is
+    executing and the domain-to-CPU pins. The machine owns it and it
+    lives exactly as long as the machine; {!Cpu} is its interface, and
+    nothing else should touch these fields. *)
+type complex = {
+  machine : t;
+  cpus : cpu array;
+  mutable cur : int;
+  pins : (int, int) Hashtbl.t;  (** domain id -> cpu id; unpinned = 0 *)
+}
 
 (** Raised when a memory access faults and no handler resolves it. *)
 exception Fatal_fault of Mmu.fault
@@ -14,19 +36,22 @@ exception Fatal_fault of Mmu.fault
     vector number). *)
 exception Machine_check of string
 
-val create : ?costs:Cost.t -> ?frames:int -> ?page_size:int -> unit -> t
+(** [create ?costs ?frames ?page_size ?cpus ()] builds a machine with
+    [cpus] processors (default 1, must be positive). All CPUs power on
+    together with their clocks at zero; CPU 0 executes first. *)
+val create :
+  ?costs:Cost.t -> ?frames:int -> ?page_size:int -> ?cpus:int -> unit -> t
 
-(** [clock t] is the clock of the CPU currently executing — the boot
-    clock until an SMP complex ({!Cpu}) switches CPUs. Charge sites must
-    read it at charge time, never cache it across a CPU switch. *)
+(** [clock t] is the clock of the CPU currently executing. Charge sites
+    must read it at charge time, never cache it across a CPU switch. *)
 val clock : t -> Clock.t
 
-(** CPU 0's clock, regardless of which CPU is executing. *)
-val boot_clock : t -> Clock.t
+(** The machine's CPUs; see {!Cpu.of_machine}. *)
+val complex : t -> complex
 
 (** [set_active_clock t c] redirects all subsequent charges (including
-    MMU traffic) to [c]. Owned by {!Cpu}; single-CPU code never calls
-    it. *)
+    MMU traffic) to [c]. Owned by {!Cpu}, which calls it only when the
+    executing CPU changes. *)
 val set_active_clock : t -> Clock.t -> unit
 
 val costs : t -> Cost.t

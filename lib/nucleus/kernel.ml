@@ -16,7 +16,6 @@ module Vtype = Pm_obj.Vtype
 module Oerror = Pm_obj.Oerror
 module Registry = Pm_obj.Registry
 module Composite = Pm_obj.Composite
-module Scheduler = Pm_threads.Scheduler
 
 type t = {
   machine : Machine.t;
@@ -36,15 +35,15 @@ type t = {
   tracesvc : Tracesvc.t;
   journalsvc : Journalsvc.t;
   querysvc : Querysvc.t;
-  cpu : Pm_machine.Cpu.t option; (* SMP complex when booted with >1 CPUs *)
-  smp : Pm_threads.Smp.t option; (* per-CPU schedulers over it *)
+  cpu : Pm_machine.Cpu.t; (* the machine's CPUs, one or many *)
+  smp : Pm_threads.Smp.t; (* a scheduler per CPU: the one dispatch path *)
 }
 
 let machine t = t.machine
 let clock t = Machine.clock t.machine
 let cpu t = t.cpu
 let smp t = t.smp
-let cpus t = match t.cpu with Some c -> Pm_machine.Cpu.count c | None -> 1
+let cpus t = Pm_machine.Cpu.count t.cpu
 let api t = t.api
 let events t = t.api.Api.events
 let vmem t = t.api.Api.vmem
@@ -279,8 +278,8 @@ let must_register ns path handle =
   | Ok () -> ()
   | Error e -> failwith ("Kernel.boot: " ^ Namespace.error_to_string e)
 
-let boot ?costs ?frames ?page_size ?(cpus = 1) ~root () =
-  let machine = Machine.create ?costs ?frames ?page_size () in
+let boot ?costs ?frames ?page_size ?cpus ~root () =
+  let machine = Machine.create ?costs ?frames ?page_size ?cpus () in
   let timer = Timer_dev.create machine ~irq_line:0 in
   let nic = Nic.create machine ~irq_line:1 in
   let disk = Disk.create machine ~irq_line:2 ~blocks:512 in
@@ -297,22 +296,11 @@ let boot ?costs ?frames ?page_size ?(cpus = 1) ~root () =
   let vmem = Vmem.create machine in
   let directory = Directory.create ~machine ~vmem ~registry ~ns in
   let certification = Certsvc.create machine ~root in
-  let sched = Scheduler.create (Machine.clock machine) (Machine.costs machine) in
-  Scheduler.set_mmu sched (Machine.mmu machine);
-  (* >1 CPUs: hang an SMP complex off the machine and give every CPU its
-     own scheduler; at 1 CPU nothing is created and the run is
-     byte-identical to every earlier single-core boot *)
-  let cpu, smp =
-    if cpus = 1 then (None, None)
-    else begin
-      let cpx = Pm_machine.Cpu.create machine ~cpus in
-      let smp =
-        Pm_threads.Smp.create ~mmu:(Machine.mmu machine) cpx ~boot:sched
-          (Machine.costs machine)
-      in
-      (Some cpx, Some smp)
-    end
+  let cpu = Pm_machine.Cpu.of_machine machine in
+  let smp =
+    Pm_threads.Smp.create ~mmu:(Machine.mmu machine) cpu (Machine.costs machine)
   in
+  let sched = Pm_threads.Smp.sched smp 0 in
   let api =
     { Api.machine; registry; events; vmem; directory; certification; sched;
       kernel_domain }
@@ -437,17 +425,15 @@ let register_at t path inst =
 
 let bind t dom path = Api.bind_exn t.api dom (Path.of_string path)
 
-let run t =
-  match t.smp with
-  | Some smp -> Pm_threads.Smp.run smp
-  | None -> Scheduler.run t.api.Api.sched ()
+let run t = Pm_threads.Smp.run t.smp
+
+(* Dispatches per tick, over all CPUs: a thread that yield-polls a
+   device must let [step] return, since devices only advance in
+   [Machine.tick]. *)
+let step_budget = 64
 
 let step t ?(ticks = 1) () =
-  (* a bounded dispatch budget per tick keeps yield-polling threads from
-     starving device progress *)
   for _ = 1 to ticks do
     Machine.tick t.machine;
-    match t.smp with
-    | Some smp -> ignore (Pm_threads.Smp.run smp)
-    | None -> ignore (Scheduler.run t.api.Api.sched ~budget:64 ())
+    ignore (Pm_threads.Smp.run t.smp ~budget:step_budget)
   done

@@ -18,12 +18,10 @@
 
 type t
 
-(** [boot ?cpus ... ()] brings the system up. With [cpus > 1] (default
-    1) an SMP complex ({!Pm_machine.Cpu}) is created over the machine
-    together with per-CPU schedulers ({!Pm_threads.Smp}); {!run} and
-    {!step} then sweep all CPUs with work stealing. At 1 CPU neither
-    exists and the boot is byte-identical to earlier single-core
-    kernels. *)
+(** [boot ?cpus ... ()] brings the system up on a machine with [cpus]
+    processors (default 1; {!Pm_machine.Cpu}) and a scheduler per CPU
+    ({!Pm_threads.Smp}). {!run} and {!step} sweep all CPUs with work
+    stealing; one CPU is the same path with nothing to steal from. *)
 val boot :
   ?costs:Pm_machine.Cost.t ->
   ?frames:int ->
@@ -38,12 +36,12 @@ val boot :
 val machine : t -> Pm_machine.Machine.t
 val clock : t -> Pm_machine.Clock.t
 
-(** The SMP complex and per-CPU schedulers, when booted with [cpus > 1]. *)
-val cpu : t -> Pm_machine.Cpu.t option
+(** The machine's CPUs and their schedulers. *)
+val cpu : t -> Pm_machine.Cpu.t
 
-val smp : t -> Pm_threads.Smp.t option
+val smp : t -> Pm_threads.Smp.t
 
-(** Number of CPUs (1 when no complex). *)
+(** Number of CPUs. *)
 val cpus : t -> int
 val api : t -> Api.t
 val events : t -> Events.t
@@ -54,7 +52,10 @@ val tracesvc : t -> Tracesvc.t
 val journalsvc : t -> Journalsvc.t
 val querysvc : t -> Querysvc.t
 val loader : t -> Loader.t
+
+(** CPU 0's scheduler. *)
 val sched : t -> Pm_threads.Scheduler.t
+
 val kernel_domain : t -> Domain.t
 val nic : t -> Pm_machine.Nic.t
 val timer : t -> Pm_machine.Timer_dev.t
@@ -97,9 +98,11 @@ val register_at : t -> string -> Pm_obj.Instance.t -> unit
 (** [bind t dom path] imports the object at [path] (string) into [dom]. *)
 val bind : t -> Domain.t -> string -> Pm_obj.Instance.t
 
-(** [run t] dispatches ready threads until quiescent. *)
+(** [run t] dispatches ready threads on every CPU until quiescent. *)
 val run : t -> int
 
 (** [step t ?ticks ()] interleaves device ticks with scheduling: each
-    tick advances every device model then drains the scheduler. *)
+    tick advances every device model, then dispatches ready threads
+    across the CPUs, at most 64 per tick, so a thread that yield-polls
+    a device cannot keep the devices from advancing. *)
 val step : t -> ?ticks:int -> unit -> unit

@@ -106,23 +106,37 @@ let record_crash t th =
     ~domain:(Option.value th.domain ~default:0)
     ~at:(Clock.now t.clock) ~info:th.tid ~detail:th.name
 
-(* Handler shared by full threads and promoted proto-threads: bookkeeping
-   on return/crash, and the Yield/Suspend/Self protocol. *)
-let thread_handler t th : (unit, unit) Effect.Deep.handler =
+(* The one handler every fiber runs under: bookkeeping on return and
+   crash, and the Yield/Suspend/Self protocol. [booked] says whether the
+   fiber counts in [live]: a full thread from its spawn, a proto-thread
+   only once its first Yield/Suspend promotes it — paying the promotion
+   there. *)
+let thread_handler t th ~booked : (unit, unit) Effect.Deep.handler =
   let open Effect.Deep in
+  let promote () =
+    if not !booked then begin
+      booked := true;
+      Clock.advance t.clock t.costs.Cost.promote;
+      Clock.count t.clock "popup_promotion";
+      t.promotions <- t.promotions + 1;
+      t.live <- t.live + 1
+    end
+  in
   {
     retc =
       (fun () ->
         th.state <- Finished;
-        t.live <- t.live - 1);
+        if !booked then t.live <- t.live - 1 else t.popup_fast <- t.popup_fast + 1);
     exnc =
       (fun exn ->
         th.state <- Finished;
-        t.live <- t.live - 1;
+        if !booked then t.live <- t.live - 1;
         t.crashes <- t.crashes + 1;
         Clock.count t.clock "thread_crash";
         Logs.warn (fun m ->
-            m "thread %d (%s) crashed: %s" th.tid th.name (Printexc.to_string exn));
+            m "%s %d (%s) crashed: %s"
+              (if th.is_popup then "popup" else "thread")
+              th.tid th.name (Printexc.to_string exn));
         record_crash t th;
         dump_flight t);
     effc =
@@ -131,11 +145,13 @@ let thread_handler t th : (unit, unit) Effect.Deep.handler =
         | Yield ->
           Some
             (fun (k : (a, unit) continuation) ->
+              promote ();
               th.state <- Ready;
               enqueue (home_of t th) th (fun () -> continue k ()))
         | Suspend register ->
           Some
             (fun (k : (a, unit) continuation) ->
+              promote ();
               th.state <- Blocked;
               let resume () =
                 assert (th.state = Blocked);
@@ -153,73 +169,24 @@ let spawn t ?priority ?name ?domain body =
   Clock.count t.clock "thread_create";
   t.live <- t.live + 1;
   t.spawned <- t.spawned + 1;
-  enqueue t th (fun () -> Effect.Deep.match_with body () (thread_handler t th));
+  enqueue t th (fun () ->
+      Effect.Deep.match_with body () (thread_handler t th ~booked:(ref true)));
   th
 
-(* A proto-thread runs the body immediately under a handler that, on the
-   first Yield/Suspend, pays the promotion cost and books the fiber as a
-   real thread; later effects in the same fiber behave like a normal
-   thread's (the handler stays installed for the fiber's lifetime). *)
+(* A proto-thread runs the body immediately, in the caller's context,
+   under the same handler as a thread but not yet booked as one: the
+   first Yield/Suspend promotes it, and the handler stays installed for
+   the fiber's lifetime. *)
 let popup t ?(priority = 1) ?(name = "popup") ?domain body =
   check_priority priority;
   Clock.advance t.clock t.costs.Cost.proto_thread;
   Clock.count t.clock "proto_thread";
   t.popups <- t.popups + 1;
   let th = fresh_thread t ~priority ~name ?domain ~is_popup:true () in
-  let promoted = ref false in
-  let promote () =
-    if not !promoted then begin
-      promoted := true;
-      Clock.advance t.clock t.costs.Cost.promote;
-      Clock.count t.clock "popup_promotion";
-      t.promotions <- t.promotions + 1;
-      t.live <- t.live + 1
-    end
-  in
-  let open Effect.Deep in
-  let handler : (unit, unit) handler =
-    {
-      retc =
-        (fun () ->
-          if !promoted then t.live <- t.live - 1 else t.popup_fast <- t.popup_fast + 1;
-          th.state <- Finished);
-      exnc =
-        (fun exn ->
-          if !promoted then t.live <- t.live - 1;
-          th.state <- Finished;
-          t.crashes <- t.crashes + 1;
-          Clock.count t.clock "thread_crash";
-          Logs.warn (fun m ->
-              m "popup %d (%s) crashed: %s" th.tid th.name (Printexc.to_string exn));
-          record_crash t th;
-          dump_flight t);
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Yield ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                promote ();
-                th.state <- Ready;
-                enqueue (home_of t th) th (fun () -> continue k ()))
-          | Suspend register ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                promote ();
-                th.state <- Blocked;
-                let resume () =
-                  assert (th.state = Blocked);
-                  th.state <- Ready;
-                  enqueue (home_of t th) th (fun () -> continue k ())
-                in
-                register { thread = th; resume })
-          | Self -> Some (fun (k : (a, unit) continuation) -> continue k th)
-          | _ -> None);
-    }
-  in
+  let booked = ref false in
   th.state <- Running;
-  match_with body () handler;
-  not !promoted
+  Effect.Deep.match_with body () (thread_handler t th ~booked);
+  not !booked
 
 (* xorshift step, deterministic per seed; cheap and dependency-free *)
 let lottery_draw t bound =
@@ -298,45 +265,42 @@ let steal ~from ~into =
     enqueue into th fn;
     Some (ready_at, th)
 
-let run t ?budget () =
+(* One dispatch: the next ready thread runs until it yields, blocks or
+   finishes. False, and free, when nothing is ready. *)
+let dispatch t =
+  match take_ready t with
+  | None -> false
+  | Some (_, _, th, fn) ->
+    t.switches <- t.switches + 1;
+    Clock.advance t.clock t.costs.Cost.thread_switch;
+    Clock.count t.clock "thread_switch";
+    let obs = Clock.obs t.clock in
+    let th_dom = Option.value th.domain ~default:0 in
+    (* always-on flight record of the dispatch *)
+    Pm_journal.Journal.record (Pm_obs.Obs.journal obs) ~kind:Pm_journal.Journal.Sched
+      ~domain:th_dom ~at:(Clock.now t.clock) ~info:th.tid ~detail:"";
+    if Pm_obs.Obs.enabled obs then begin
+      (* scheduler metrics are system-wide: keyed to domain 0; the
+         run itself is charged to the thread's domain *)
+      Pm_obs.Obs.set_gauge obs ~domain:0 "sched.ready" (ready_count t);
+      Pm_obs.Obs.incr obs ~domain:0 "sched.switches";
+      Pm_obs.Obs.incr obs ~domain:th_dom "sched.runs"
+    end;
+    (match (th.domain, t.mmu) with
+    | Some d, Some mmu -> Pm_machine.Mmu.switch_context mmu d
+    | _ -> ());
+    let prev = t.cur in
+    t.cur <- Some th;
+    th.state <- Running;
+    fn ();
+    t.cur <- prev;
+    true
+
+let run t =
   let dispatches = ref 0 in
-  let exhausted () =
-    match budget with Some b -> !dispatches >= b | None -> false
-  in
-  let rec loop () =
-    if exhausted () then ()
-    else begin
-      match take_ready t with
-      | None -> ()
-      | Some (_, _, th, fn) ->
-        incr dispatches;
-        t.switches <- t.switches + 1;
-        Clock.advance t.clock t.costs.Cost.thread_switch;
-        Clock.count t.clock "thread_switch";
-        let obs = Clock.obs t.clock in
-        let th_dom = Option.value th.domain ~default:0 in
-        (* always-on flight record of the dispatch *)
-        Pm_journal.Journal.record (Pm_obs.Obs.journal obs) ~kind:Pm_journal.Journal.Sched
-          ~domain:th_dom ~at:(Clock.now t.clock) ~info:th.tid ~detail:"";
-        if Pm_obs.Obs.enabled obs then begin
-          (* scheduler metrics are system-wide: keyed to domain 0; the
-             run itself is charged to the thread's domain *)
-          Pm_obs.Obs.set_gauge obs ~domain:0 "sched.ready" (ready_count t);
-          Pm_obs.Obs.incr obs ~domain:0 "sched.switches";
-          Pm_obs.Obs.incr obs ~domain:th_dom "sched.runs"
-        end;
-        (match (th.domain, t.mmu) with
-        | Some d, Some mmu -> Pm_machine.Mmu.switch_context mmu d
-        | _ -> ());
-        let prev = t.cur in
-        t.cur <- Some th;
-        th.state <- Running;
-        fn ();
-        t.cur <- prev;
-        loop ()
-    end
-  in
-  loop ();
+  while dispatch t do
+    incr dispatches
+  done;
   !dispatches
 
 let yield () = Effect.perform Yield

@@ -63,12 +63,17 @@ val spawn : t -> ?priority:int -> ?name:string -> ?domain:int -> (unit -> unit) 
     completes under the scheduler). *)
 val popup : t -> ?priority:int -> ?name:string -> ?domain:int -> (unit -> unit) -> bool
 
-(** [run t ?budget ()] dispatches ready threads until none are runnable,
-    or until [budget] dispatches have been made. Returns the number of
-    dispatches performed. Threads left blocked stay parked; an external
-    event (e.g. an interrupt resuming a waiter) can make them ready again,
-    after which [run] may be called again. *)
-val run : t -> ?budget:int -> unit -> int
+(** [dispatch t] runs the next ready thread until it yields, blocks or
+    finishes, charging one thread switch. Returns [false], charging
+    nothing, when no thread is ready. A dispatch budget, when one is
+    wanted, is the caller's: {!Smp.run} counts these. *)
+val dispatch : t -> bool
+
+(** [run t] dispatches ready threads until none are runnable and returns
+    the number of dispatches. Threads left blocked stay parked; an
+    external event (e.g. an interrupt resuming a waiter) can make them
+    ready again, after which [run] may be called again. *)
+val run : t -> int
 
 (** {1 Effects — callable only inside a thread/proto-thread} *)
 

@@ -1,25 +1,21 @@
-(** Per-CPU scheduling over an SMP complex ({!Pm_machine.Cpu}).
+(** Per-CPU scheduling over the machine's CPUs ({!Pm_machine.Cpu}): the
+    kernel's one dispatch path, whether the machine has one CPU or many.
 
     One {!Scheduler.t} per CPU, each bound to that CPU's clock. {!run}
     interleaves the CPUs with a deterministic round-robin sweep (one
     dispatch per CPU per pass); an idle CPU steals the oldest ready
     entry from its most-loaded sibling, reconciling its clock to the
     entry's ready-at time and paying {!Pm_machine.Cost.steal}. Halted
-    CPUs neither dispatch nor steal until woken (e.g. by an IPI). *)
+    CPUs neither dispatch nor steal until woken (e.g. by an IPI). On one
+    CPU there is no sibling to steal from, and {!run} dispatches exactly
+    as {!Scheduler.run} does. *)
 
 type t
 
-(** [create ?policy ?mmu cpu ~boot costs] builds per-CPU schedulers:
-    CPU 0 uses [boot] (the kernel's existing scheduler — threads already
-    spawned stay valid); CPUs 1.. get fresh schedulers on their own
-    clocks, with [policy] and [mmu] applied. *)
-val create :
-  ?policy:Scheduler.policy ->
-  ?mmu:Pm_machine.Mmu.t ->
-  Pm_machine.Cpu.t ->
-  boot:Scheduler.t ->
-  Pm_machine.Cost.t ->
-  t
+(** [create ?mmu cpu costs] builds one scheduler per CPU of [cpu], each
+    on its CPU's clock, switching [mmu] contexts when given. CPU 0's is
+    the kernel's boot scheduler. *)
+val create : ?mmu:Pm_machine.Mmu.t -> Pm_machine.Cpu.t -> Pm_machine.Cost.t -> t
 
 val cpu : t -> Pm_machine.Cpu.t
 val count : t -> int
@@ -45,10 +41,11 @@ val spawn_on :
     attempt on all-empty siblings is free. *)
 val try_steal : t -> thief:int -> bool
 
-(** [run ?steal t] sweeps the CPUs round-robin, one dispatch each per
-    pass, until no CPU can make progress. [steal] (default [true])
-    enables work stealing for idle CPUs. Returns total dispatches. *)
-val run : ?steal:bool -> t -> int
+(** [run ?steal ?budget t] sweeps the CPUs round-robin, one dispatch
+    each per pass, until no CPU can make progress or [budget] dispatches
+    (default unbounded) have been made in all. [steal] (default [true])
+    enables work stealing for idle CPUs. Returns the dispatches made. *)
+val run : ?steal:bool -> ?budget:int -> t -> int
 
 val ready_total : t -> int
 val stats : t -> [ `Steals | `Steal_attempts | `Dispatches ] -> int

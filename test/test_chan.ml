@@ -86,7 +86,7 @@ let test_full_ring_backpressure () =
           got := Bytes.to_string (Chan.recv chan) :: !got
         done)
   in
-  ignore (Scheduler.run sched ());
+  ignore (Scheduler.run sched);
   Alcotest.(check bool) "producer finished" true
     (producer.Scheduler.state = Scheduler.Finished);
   Alcotest.(check bool) "consumer finished" true

@@ -573,7 +573,7 @@ let test_lint_wait_cycle () =
   ignore
     (Scheduler.spawn sched ~name:"b" ~domain:udom.Domain.id (fun () ->
          ignore (Chan.recv chan_ab)));
-  ignore (Scheduler.run sched ());
+  ignore (Scheduler.run sched);
   Alcotest.(check (list string)) "deadlock caught" [ "wait-cycle" ]
     (rules_of (lint_errors sys))
 

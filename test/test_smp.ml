@@ -1,12 +1,13 @@
-(* Tests for the SMP complex: per-CPU clocks, reconciliation, IPIs,
-   work stealing across per-CPU schedulers, cross-CPU channel pricing
-   and doorbell routing, and the journal's per-CPU provenance. *)
+(* Tests for the machine's CPUs: per-CPU clocks, reconciliation, IPIs,
+   work stealing across per-CPU schedulers, the kernel's per-tick
+   dispatch budget, cross-CPU channel pricing and doorbell routing, the
+   journal's per-CPU provenance, and determinism at 1..4 CPUs. *)
 
 open Paramecium
 
 let machine_fixture cpus =
-  let machine = Machine.create () in
-  (machine, Cpu.create machine ~cpus)
+  let machine = Machine.create ~cpus () in
+  (machine, Cpu.of_machine machine)
 
 (* --- per-CPU clocks and reconciliation ---------------------------------- *)
 
@@ -32,10 +33,15 @@ let test_sync_forward_only () =
   Alcotest.(check int) "never backward" (t0 + 50) (Cpu.now cpx 1)
 
 let test_one_complex_per_machine () =
-  let machine, _ = machine_fixture 1 in
-  match Cpu.create machine ~cpus:2 with
+  let machine, cpx = machine_fixture 3 in
+  Alcotest.(check bool) "the machine's one complex" true (Cpu.of_machine machine == cpx);
+  Alcotest.(check bool) "owned by its machine" true (Cpu.machine cpx == machine);
+  Alcotest.(check int) "with the cpus it was built with" 3 (Cpu.count cpx);
+  Alcotest.(check int) "a uniprocessor is a complex of one" 1
+    (Cpu.count (Cpu.of_machine (Machine.create ())));
+  match Machine.create ~cpus:0 () with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "second complex on one machine must be rejected"
+  | _ -> Alcotest.fail "a machine needs a cpu"
 
 (* --- IPIs --------------------------------------------------------------- *)
 
@@ -68,8 +74,7 @@ let test_ipi_to_halted_cpu () =
 
 let smp_fixture cpus =
   let machine, cpx = machine_fixture cpus in
-  let boot = Scheduler.create (Machine.clock machine) (Machine.costs machine) in
-  (machine, cpx, Smp.create cpx ~boot (Machine.costs machine))
+  (machine, cpx, Smp.create cpx (Machine.costs machine))
 
 let test_steal_from_empty () =
   let _, cpx, smp = smp_fixture 2 in
@@ -112,20 +117,20 @@ let test_steal_rehomes_wakeup () =
          Scheduler.yield ();
          Scheduler.suspend (fun r -> resumer := Some r);
          log := "resumed" :: !log));
-  ignore (Scheduler.run s0 ~budget:1 ());
+  ignore (Scheduler.dispatch s0);
   (* the yield parked it ready on s0; steal it over to s1 *)
   (match Scheduler.steal ~from:s0 ~into:s1 with
   | Some _ -> ()
   | None -> Alcotest.fail "ready entry was stealable");
   Alcotest.(check int) "victim emptied" 0 (Scheduler.ready_count s0);
-  ignore (Scheduler.run s1 ~budget:1 ());
+  ignore (Scheduler.dispatch s1);
   (* now suspended on s1; the wakeup must follow the thread's new home *)
   (match !resumer with
   | Some r -> r.Scheduler.resume ()
   | None -> Alcotest.fail "thread suspended");
   Alcotest.(check int) "wakeup landed on the thief" 1 (Scheduler.ready_count s1);
   Alcotest.(check int) "not on the old home" 0 (Scheduler.ready_count s0);
-  ignore (Scheduler.run s1 ());
+  ignore (Scheduler.run s1);
   Alcotest.(check (list string)) "ran to completion on the thief"
     [ "start"; "resumed" ] (List.rev !log)
 
@@ -134,7 +139,7 @@ let test_steal_rehomes_wakeup () =
 let sys_fixture () =
   let sys = System.create ~seed:0xBEEF ~cpus:2 () in
   let k = System.kernel sys in
-  (sys, k, Kernel.kernel_domain k, Option.get (System.cpu sys))
+  (sys, k, Kernel.kernel_domain k, Kernel.cpu k)
 
 let test_cacheline_pricing () =
   let sys, k, kdom, cpx = sys_fixture () in
@@ -175,7 +180,7 @@ let test_cacheline_pricing () =
 let test_cross_cpu_doorbell_ipi () =
   let sys, k, kdom, cpx = sys_fixture () in
   let api = Kernel.api k in
-  let smp = Option.get (System.smp sys) in
+  let smp = Kernel.smp k in
   let udom = System.new_domain sys "bell-far" in
   let chan =
     Chan.create (Kernel.machine k) (Kernel.vmem k) ~name:"farbell" ~slots:8
@@ -328,30 +333,98 @@ let test_placer_payback_defers () =
   Alcotest.(check int) "still on cpu 0" 0 (Cpu.cpu_of cpx ~domain:udom.Domain.id);
   Alcotest.(check bool) "defers counted" true (Placer.cpu_deferrals placer > 0)
 
-(* --- 1-CPU byte-identity ------------------------------------------------ *)
+(* --- the kernel's dispatch loop ------------------------------------------ *)
 
-let test_uniprocessor_unchanged () =
-  (* a 1-CPU complex must not perturb the clock: same ops as a machine
-     with no complex at all, cycle for cycle *)
-  let run with_complex =
-    let sys = System.create ~seed:0xBEEF () in
-    let k = System.kernel sys in
-    if with_complex then ignore (Cpu.create (Kernel.machine k) ~cpus:1);
-    let kdom = Kernel.kernel_domain k in
-    let udom = System.new_domain sys "mirror" in
-    let chan =
-      Chan.create (Kernel.machine k) (Kernel.vmem k) ~name:"mirror"
-        ~slots:8 ~slot_size:16 ~producer:kdom ()
-    in
-    ignore (Chan.accept chan ~into:udom);
-    for i = 1 to 5 do
-      ignore (Chan.try_send chan (Bytes.of_string (string_of_int i)))
-    done;
-    ignore (Chan.recv_batch chan ());
-    Clock.now (System.clock sys)
-  in
-  Alcotest.(check int) "1-cpu run is cycle-identical to no complex"
-    (run false) (run true)
+(* [Kernel.step]'s per-tick dispatch budget *)
+let step_budget = 64
+
+(* Devices advance only between ticks, so a thread that yield-polls one
+   must let [step] return: the budget holds on every CPU count. *)
+let test_step_budget () =
+  let _, k, _, _ = sys_fixture () in
+  let runs = ref 0 in
+  ignore
+    (Scheduler.spawn (Kernel.sched k) ~name:"poller" (fun () ->
+         for _ = 1 to 5_000 do
+           incr runs;
+           Scheduler.yield ()
+         done));
+  Kernel.step k ~ticks:1 ();
+  Alcotest.(check bool)
+    (Printf.sprintf "one tick ran the poller %d times, at most the budget" !runs)
+    true
+    (!runs > 0 && !runs <= step_budget);
+  ignore (Kernel.run k);
+  Alcotest.(check int) "run drains the rest" 5_000 !runs
+
+(* The CPUs belong to their machine: a dropped system leaves nothing
+   behind that keeps the machine alive. *)
+let boot_and_drop w =
+  let sys = System.create ~seed:0xBEEF ~cpus:2 () in
+  Weak.set w 0 (Some (Kernel.machine (System.kernel sys)))
+[@@inline never]
+
+let test_dropped_machine_collected () =
+  let w = Weak.create 1 in
+  boot_and_drop w;
+  Gc.full_major ();
+  Alcotest.(check bool) "the machine was collected" false (Weak.check w 0)
+
+(* --- determinism at N CPUs ---------------------------------------------- *)
+
+(* One seeded run: [flows] blocking producer/consumer pairs over
+   doorbell rings, each endpoint's domain pinned to the CPU [pins]
+   names, drained by the kernel's dispatch loop. What it leaves is the
+   full journal and every CPU's counters. *)
+let seeded_run ~cpus ~pins ~steal =
+  let sys = System.create ~seed:0xBEEF ~cpus () in
+  let k = System.kernel sys in
+  let cpx = Kernel.cpu k and smp = Kernel.smp k in
+  let journal = Obs.journal (Clock.obs (System.clock sys)) in
+  Journal.set_mode journal Journal.Full;
+  List.iteri
+    (fun f (pc, cc) ->
+      let pdom = System.new_domain sys (Printf.sprintf "p%d" f) in
+      let cdom = System.new_domain sys (Printf.sprintf "c%d" f) in
+      let chan =
+        Chan.create (Kernel.machine k) (Kernel.vmem k) ~name:"flow" ~slots:4
+          ~slot_size:32 ~mode:Chan.Doorbell ~producer:pdom ()
+      in
+      ignore (Chan.accept chan ~into:cdom);
+      Chan.set_cacheline_priced chan true;
+      Cpu.pin cpx ~domain:pdom.Domain.id ~cpu:pc;
+      Cpu.pin cpx ~domain:cdom.Domain.id ~cpu:cc;
+      ignore
+        (Smp.spawn_on smp cc ~domain:cdom.Domain.id (fun () ->
+             for _ = 1 to 6 do
+               ignore (Chan.recv chan)
+             done));
+      ignore
+        (Smp.spawn_on smp pc ~domain:pdom.Domain.id (fun () ->
+             for i = 1 to 6 do
+               Chan.send chan (Bytes.make (i * 5) 'm')
+             done)))
+    pins;
+  ignore (Smp.run ~steal smp);
+  (Journal.export journal, Cpu.all_stats cpx)
+
+let determinism_gen =
+  QCheck2.Gen.(
+    int_range 1 4 >>= fun cpus ->
+    let cpu = int_bound (cpus - 1) in
+    triple (return cpus) (list_size (int_range 1 4) (pair cpu cpu)) bool)
+
+let determinism_print (cpus, pins, steal) =
+  Printf.sprintf "cpus=%d steal=%b pins=[%s]" cpus steal
+    (String.concat "; " (List.map (fun (p, c) -> Printf.sprintf "%d->%d" p c) pins))
+
+let prop_deterministic_at_n_cpus =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:20 ~name:"two runs from one seed agree"
+       ~print:determinism_print determinism_gen (fun (cpus, pins, steal) ->
+         let export1, stats1 = seeded_run ~cpus ~pins ~steal in
+         let export2, stats2 = seeded_run ~cpus ~pins ~steal in
+         String.equal export1 export2 && stats1 = stats2))
 
 let () =
   Alcotest.run "smp"
@@ -389,9 +462,11 @@ let () =
           Alcotest.test_case "re-pins to the idle cpu" `Quick test_placer_repins;
           Alcotest.test_case "payback defers" `Quick test_placer_payback_defers;
         ] );
-      ( "identity",
+      ( "kernel",
         [
-          Alcotest.test_case "uniprocessor unchanged" `Quick
-            test_uniprocessor_unchanged;
+          Alcotest.test_case "step budget holds on 2 cpus" `Quick test_step_budget;
+          Alcotest.test_case "dropped machine is collected" `Quick
+            test_dropped_machine_collected;
         ] );
+      ("identity", [ prop_deterministic_at_n_cpus ]);
     ]

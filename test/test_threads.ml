@@ -16,7 +16,7 @@ let test_spawn_and_run () =
   ignore (Scheduler.spawn s ~name:"a" (fun () -> note "a"));
   ignore (Scheduler.spawn s ~name:"b" (fun () -> note "b"));
   Alcotest.(check int) "two live" 2 (Scheduler.live s);
-  let dispatches = Scheduler.run s () in
+  let dispatches = Scheduler.run s in
   Alcotest.(check int) "two dispatches" 2 dispatches;
   Alcotest.(check (list string)) "fifo order" [ "a"; "b" ] (List.rev !log);
   Alcotest.(check int) "none live" 0 (Scheduler.live s)
@@ -32,7 +32,7 @@ let test_yield_interleaves () =
   in
   ignore (Scheduler.spawn s (worker 'x'));
   ignore (Scheduler.spawn s (worker 'y'));
-  ignore (Scheduler.run s ());
+  ignore (Scheduler.run s);
   Alcotest.(check string) "round robin" "xyxyxy" (Buffer.contents log)
 
 let test_priorities () =
@@ -41,14 +41,17 @@ let test_priorities () =
   (* spawn low first; high priority must still run first *)
   ignore (Scheduler.spawn s ~priority:6 (fun () -> Buffer.add_char log 'l'));
   ignore (Scheduler.spawn s ~priority:1 (fun () -> Buffer.add_char log 'h'));
-  ignore (Scheduler.run s ());
+  ignore (Scheduler.run s);
   Alcotest.(check string) "high first" "hl" (Buffer.contents log);
   (match Scheduler.spawn s ~priority:99 (fun () -> ()) with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "bad priority rejected")
 
+(* The dispatch budget is the per-CPU sweep's: on a 1-CPU machine it
+   bounds one scheduler's run. *)
 let test_budget () =
-  let _, s = sched_fixture () in
+  let smp = Smp.create (Cpu.of_machine (Machine.create ())) Cost.unit_costs in
+  let s = Smp.sched smp 0 in
   let spins = ref 0 in
   ignore
     (Scheduler.spawn s (fun () ->
@@ -56,10 +59,10 @@ let test_budget () =
            incr spins;
            Scheduler.yield ()
          done));
-  let d = Scheduler.run s ~budget:5 () in
+  let d = Smp.run smp ~budget:5 in
   Alcotest.(check int) "budget respected" 5 d;
   Alcotest.(check bool) "thread still live" true (Scheduler.live s > 0);
-  ignore (Scheduler.run s ());
+  ignore (Scheduler.run s);
   Alcotest.(check int) "completes later" 100 !spins
 
 let test_crash_isolated () =
@@ -67,7 +70,7 @@ let test_crash_isolated () =
   let survived = ref false in
   ignore (Scheduler.spawn s ~name:"crasher" (fun () -> failwith "boom"));
   ignore (Scheduler.spawn s ~name:"survivor" (fun () -> survived := true));
-  ignore (Scheduler.run s ());
+  ignore (Scheduler.run s);
   Alcotest.(check bool) "other threads unaffected" true !survived;
   Alcotest.(check int) "crash counted" 1 (Scheduler.stats s `Crashes);
   Alcotest.(check int) "crash in clock counters" 1 (Clock.counter clock "thread_crash");
@@ -77,7 +80,7 @@ let test_self () =
   let _, s = sched_fixture () in
   let seen = ref None in
   let th = Scheduler.spawn s ~name:"me" (fun () -> seen := Some (Scheduler.self ())) in
-  ignore (Scheduler.run s ());
+  ignore (Scheduler.run s);
   (match !seen with
   | Some me -> Alcotest.(check int) "self is me" th.Scheduler.tid me.Scheduler.tid
   | None -> Alcotest.fail "self not captured")
@@ -94,13 +97,13 @@ let test_waitq () =
            Sync.Waitq.wait q;
            incr woken))
   done;
-  ignore (Scheduler.run s ());
+  ignore (Scheduler.run s);
   Alcotest.(check int) "all parked" 3 (Sync.Waitq.length q);
   Alcotest.(check bool) "signal" true (Sync.Waitq.signal q);
-  ignore (Scheduler.run s ());
+  ignore (Scheduler.run s);
   Alcotest.(check int) "one woken" 1 !woken;
   Alcotest.(check int) "broadcast" 2 (Sync.Waitq.broadcast q);
-  ignore (Scheduler.run s ());
+  ignore (Scheduler.run s);
   Alcotest.(check int) "all woken" 3 !woken;
   Alcotest.(check bool) "empty signal" false (Sync.Waitq.signal q)
 
@@ -120,7 +123,7 @@ let test_mutex_exclusion () =
            Sync.Mutex.unlock m;
            incr done_count))
   done;
-  ignore (Scheduler.run s ());
+  ignore (Scheduler.run s);
   Alcotest.(check int) "mutual exclusion" 1 !max_seen;
   Alcotest.(check int) "all completed" 4 !done_count;
   Alcotest.(check bool) "unlocked at end" false (Sync.Mutex.locked m)
@@ -140,7 +143,7 @@ let test_mutex_trylock_with_lock () =
          | exception Failure _ -> ()
          | _ -> Alcotest.fail "exception propagates");
          Alcotest.(check bool) "released after exn" false (Sync.Mutex.locked m)));
-  ignore (Scheduler.run s ());
+  ignore (Scheduler.run s);
   Alcotest.check_raises "unlock unlocked" (Invalid_argument "Mutex.unlock: not locked")
     (fun () -> Sync.Mutex.unlock m)
 
@@ -174,7 +177,7 @@ let test_condvar_producer_consumer () =
              Sync.Mutex.unlock m;
              Scheduler.yield ())
            [ 1; 2; 3 ]));
-  ignore (Scheduler.run s ());
+  ignore (Scheduler.run s);
   Alcotest.(check (list int)) "consumed in order" [ 1; 2; 3 ] (List.rev !consumed)
 
 let test_semaphore () =
@@ -191,7 +194,7 @@ let test_semaphore () =
            decr inside;
            Sync.Semaphore.release sem))
   done;
-  ignore (Scheduler.run s ());
+  ignore (Scheduler.run s);
   Alcotest.(check int) "at most 2 inside" 2 !peak;
   Alcotest.(check int) "value restored" 2 (Sync.Semaphore.value sem);
   Alcotest.(check bool) "try_acquire" true (Sync.Semaphore.try_acquire sem)
@@ -208,10 +211,10 @@ let test_ivar () =
            let v = Sync.Ivar.read iv in
            got := v :: !got))
   done;
-  ignore (Scheduler.run s ());
+  ignore (Scheduler.run s);
   Alcotest.(check (option int)) "unfilled peek" None (Sync.Ivar.peek iv);
   Sync.Ivar.fill iv 7;
-  ignore (Scheduler.run s ());
+  ignore (Scheduler.run s);
   Alcotest.(check (list int)) "both readers" [ 7; 7 ] !got;
   (match Sync.Ivar.fill iv 8 with
   | exception Invalid_argument _ -> ()
@@ -244,7 +247,7 @@ let test_popup_promotes_on_block () =
   Alcotest.(check int) "promotion cost charged" 1 (Clock.counter clock "popup_promotion");
   Alcotest.(check int) "now a live thread" 1 (Scheduler.live s);
   Sync.Semaphore.release sem;
-  ignore (Scheduler.run s ());
+  ignore (Scheduler.run s);
   Alcotest.(check bool) "completed under scheduler" true !finished;
   Alcotest.(check int) "no live threads" 0 (Scheduler.live s)
 
@@ -259,7 +262,7 @@ let test_popup_promotes_on_yield () =
   in
   Alcotest.(check bool) "rescheduling promotes" false fast;
   Alcotest.(check int) "first part ran inline" 1 !steps;
-  ignore (Scheduler.run s ());
+  ignore (Scheduler.run s);
   Alcotest.(check int) "second part under scheduler" 2 !steps
 
 let test_popup_promotes_once () =
@@ -269,7 +272,7 @@ let test_popup_promotes_once () =
          Scheduler.yield ();
          Scheduler.yield ();
          Scheduler.yield ()));
-  ignore (Scheduler.run s ());
+  ignore (Scheduler.run s);
   Alcotest.(check int) "single promotion" 1 (Scheduler.stats s `Promotions)
 
 let test_popup_crash_isolated () =
@@ -288,7 +291,7 @@ let test_popup_nested_in_thread () =
          Buffer.add_char order 't';
          ignore (Scheduler.popup s (fun () -> Buffer.add_char order 'i'));
          Buffer.add_char order 'r'));
-  ignore (Scheduler.run s ());
+  ignore (Scheduler.run s);
   Alcotest.(check string) "interrupt preempts inline" "tir" (Buffer.contents order)
 
 let test_effects_outside_thread_rejected () =
@@ -306,7 +309,7 @@ let test_policy_fifo_ignores_priority () =
   (* low priority spawned first runs first under FIFO *)
   ignore (Scheduler.spawn s ~priority:7 (fun () -> Buffer.add_char log 'l'));
   ignore (Scheduler.spawn s ~priority:0 (fun () -> Buffer.add_char log 'h'));
-  ignore (Scheduler.run s ());
+  ignore (Scheduler.run s);
   Alcotest.(check string) "arrival order" "lh" (Buffer.contents log)
 
 let test_policy_lottery_deterministic () =
@@ -319,7 +322,7 @@ let test_policy_lottery_deterministic () =
         (Scheduler.spawn s ~priority:(i mod Scheduler.priorities) (fun () ->
              Buffer.add_char log (Char.chr (Char.code '0' + i))))
     done;
-    ignore (Scheduler.run s ());
+    ignore (Scheduler.run s);
     Buffer.contents log
   in
   Alcotest.(check string) "same seed, same order"
@@ -344,12 +347,14 @@ let test_policy_lottery_favors_high_priority () =
   ignore (Scheduler.spawn s ~priority:0 (loop high));
   ignore (Scheduler.spawn s ~priority:7 (loop low));
   (* run a bounded number of dispatches so the mix is observable *)
-  ignore (Scheduler.run s ~budget:150 ());
+  for _ = 1 to 150 do
+    ignore (Scheduler.dispatch s)
+  done;
   Alcotest.(check bool)
     (Printf.sprintf "8:1 tickets show (high=%d low=%d)" !high !low)
     true
     (!high > !low * 2);
-  ignore (Scheduler.run s ())
+  ignore (Scheduler.run s)
 
 let test_policy_all_complete () =
   List.iter
@@ -363,7 +368,7 @@ let test_policy_all_complete () =
                Scheduler.yield ();
                incr completed))
       done;
-      ignore (Scheduler.run s ());
+      ignore (Scheduler.run s);
       Alcotest.(check int) "all complete" 20 !completed;
       Alcotest.(check int) "none live" 0 (Scheduler.live s))
     [ Scheduler.Priority; Scheduler.Fifo; Scheduler.Lottery 3 ]
@@ -388,7 +393,7 @@ let props =
                    done;
                    incr completed)))
           yields;
-        ignore (Scheduler.run s ());
+        ignore (Scheduler.run s);
         !completed = List.length yields && Scheduler.live s = 0);
     prop "popup fast-path iff body performs no effect"
       QCheck2.Gen.(list_size (int_range 1 15) bool)
@@ -400,7 +405,7 @@ let props =
             let fast = Scheduler.popup s (fun () -> if b then Scheduler.yield ()) in
             if fast = b then ok := false)
           blocks;
-        ignore (Scheduler.run s ());
+        ignore (Scheduler.run s);
         !ok && Scheduler.live s = 0);
     prop "semaphore never over-admits"
       QCheck2.Gen.(pair (int_range 1 4) (int_range 1 12))
@@ -418,7 +423,7 @@ let props =
                  decr inside;
                  Sync.Semaphore.release sem))
         done;
-        ignore (Scheduler.run s ());
+        ignore (Scheduler.run s);
         !peak <= cap && Scheduler.live s = 0);
   ]
 
